@@ -10,13 +10,38 @@
 //! Regenerates the per-component breakdown on the StateFun runtime (whose
 //! remote deployment has the richest component set: state must be
 //! (de)serialized and shipped on every call) across state sizes
-//! {50, 100, 150, 200} KiB, and checks the < 1% claim.
+//! {50, 100, 150, 200} KiB, and checks the < 1% claim. Each component is an
+//! se-obs stage histogram (the deployment runs with `ObsMode::Metrics`); a
+//! row is the difference of the histogram's count and exact sum across the
+//! measured events, so account loading is excluded.
 
 use std::io::Write as _;
 
 use se_core::{EntityRuntime, StatefunRuntime};
 use se_lang::EntityRef;
+use se_obs::{ObsMode, Stage};
 use se_workloads::{key_name, load_accounts};
+
+/// The StateFun per-event components of the §4 experiment.
+const COMPONENTS: [Stage; 6] = [
+    Stage::Body,
+    Stage::ObjectConstruct,
+    Stage::SplitOverhead,
+    Stage::StateDeserialize,
+    Stage::StateSerialize,
+    Stage::StateStore,
+];
+
+/// `(count, sum_ns)` of every component histogram, in `COMPONENTS` order.
+fn component_totals(rt: &StatefunRuntime) -> Vec<(u64, u64)> {
+    COMPONENTS
+        .iter()
+        .map(|&st| {
+            let h = rt.obs().stage_hist(st);
+            (h.count(), h.sum())
+        })
+        .collect()
+}
 
 fn main() {
     let sizes_kib = [50usize, 100, 150, 200];
@@ -40,10 +65,13 @@ fn main() {
         // The overhead experiment measures component *durations*, not
         // latency under load: shrink hop delays so the run is quick.
         cfg.net.time_scale = 0.05f64.min(se_bench::time_scale());
+        if cfg.obs.mode == ObsMode::Off {
+            cfg.obs.mode = ObsMode::Metrics;
+        }
         let graph = se_core::compile(&program).expect("compile");
         let rt = StatefunRuntime::deploy(graph, cfg);
         load_accounts(&rt, n_keys, bytes, 0);
-        rt.timers().reset();
+        let before = component_totals(&rt);
 
         // Alternate reads and updates over the big-payload records.
         let payload = se_lang::Value::Bytes(vec![7u8; bytes]);
@@ -57,23 +85,25 @@ fn main() {
             result.expect("op succeeds");
         }
 
-        let report = rt.timers().report();
-        let total: std::time::Duration = report.iter().map(|(_, d, _)| *d).sum();
-        for (component, dur, count) in &report {
-            let share = dur.as_secs_f64() / total.as_secs_f64() * 100.0;
-            let per_event = dur.as_secs_f64() * 1e6 / (*count as f64).max(1.0);
-            println!(
-                "| {kib} | {component} | {:.1} | {per_event:.2} | {share:.2} |",
-                dur.as_secs_f64() * 1e6
-            );
+        let measured: Vec<(u64, f64)> = component_totals(&rt)
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| (after.0 - before.0, (after.1 - before.1) as f64 / 1e3))
+            .collect();
+        let total_us: f64 = measured.iter().map(|(_, us)| us).sum();
+        for (stage, (count, total)) in COMPONENTS.iter().zip(&measured) {
+            let component = stage.as_str();
+            let share = total / total_us.max(f64::MIN_POSITIVE) * 100.0;
+            let per_event = total / (*count as f64).max(1.0);
+            println!("| {kib} | {component} | {total:.1} | {per_event:.2} | {share:.2} |");
             json_rows.push(serde_json::json!({
                 "state_kib": kib,
                 "component": component,
-                "total_us": dur.as_secs_f64() * 1e6,
+                "total_us": total,
                 "per_event_us": per_event,
                 "share_pct": share,
             }));
-            if *component == "split_overhead" {
+            if *stage == Stage::SplitOverhead {
                 worst_split_share = worst_split_share.max(share);
             }
         }

@@ -1,48 +1,8 @@
-//! Measurement utilities: latency histograms and per-component timers.
-//!
-//! `LatencyRecorder` backs the end-to-end latency experiments (Figures 3 and
-//! 4: mean, p50, p99). `ComponentTimers` backs the system-overhead
-//! experiment (§4): "for each event, we measured the duration of different
-//! runtime components" — object construction, state (de)serialization,
-//! function execution, state storage, routing, and the overhead attributable
-//! to program transformation.
+//! Latency summaries for the end-to-end latency experiments (Figures 3 and
+//! 4: mean, p50, p99). The per-component timings of the system-overhead
+//! experiment (§4) are se-obs stage histograms (`se_obs::Obs::time`).
 
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
-
-/// Thread-safe collector of latency samples.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    samples: Mutex<Vec<Duration>>,
-}
-
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&self, d: Duration) {
-        self.samples.lock().push(d);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.lock().len()
-    }
-
-    /// Snapshot of all samples.
-    pub fn samples(&self) -> Vec<Duration> {
-        self.samples.lock().clone()
-    }
-
-    /// Summary statistics over the recorded samples.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_samples(&self.samples.lock())
-    }
-}
+use std::time::Duration;
 
 /// Summary statistics of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -122,108 +82,6 @@ impl LatencySummary {
     }
 }
 
-/// Named accumulating timers for the per-component overhead breakdown.
-#[derive(Debug, Default)]
-pub struct ComponentTimers {
-    totals: Mutex<std::collections::BTreeMap<&'static str, (Duration, u64)>>,
-}
-
-impl ComponentTimers {
-    /// An empty timer set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Times `f`, charging its duration to `component`.
-    pub fn time<R>(&self, component: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.add(component, start.elapsed());
-        r
-    }
-
-    /// Adds an externally measured duration to `component`.
-    pub fn add(&self, component: &'static str, d: Duration) {
-        let mut g = self.totals.lock();
-        let e = g.entry(component).or_insert((Duration::ZERO, 0));
-        e.0 += d;
-        e.1 += 1;
-    }
-
-    /// Snapshot of `(component, total, count)` rows, sorted by name.
-    pub fn report(&self) -> Vec<(&'static str, Duration, u64)> {
-        self.totals
-            .lock()
-            .iter()
-            .map(|(k, (d, c))| (*k, *d, *c))
-            .collect()
-    }
-
-    /// Total across all components.
-    pub fn grand_total(&self) -> Duration {
-        self.totals.lock().values().map(|(d, _)| *d).sum()
-    }
-
-    /// Fraction (0..=1) of the grand total charged to `component`.
-    pub fn fraction(&self, component: &'static str) -> f64 {
-        let g = self.totals.lock();
-        let total: Duration = g.values().map(|(d, _)| *d).sum();
-        if total.is_zero() {
-            return 0.0;
-        }
-        let part = g.get(component).map(|(d, _)| *d).unwrap_or(Duration::ZERO);
-        part.as_secs_f64() / total.as_secs_f64()
-    }
-
-    /// Clears all accumulated data.
-    pub fn reset(&self) {
-        self.totals.lock().clear();
-    }
-}
-
-/// A simple throughput counter (events per second over a window).
-#[derive(Debug)]
-pub struct Throughput {
-    start: Instant,
-    count: std::sync::atomic::AtomicU64,
-}
-
-impl Default for Throughput {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Throughput {
-    /// Starts counting now.
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            count: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Counts one event.
-    pub fn incr(&self) {
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Total events counted.
-    pub fn count(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Events per second since creation.
-    pub fn rate(&self) -> f64 {
-        let secs = self.start.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.count() as f64 / secs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,46 +135,5 @@ mod tests {
         let s = LatencySummary::from_samples(&[Duration::from_millis(10)]);
         let u = s.unscale(0.1);
         assert_eq!(u.p50, Duration::from_millis(100));
-    }
-
-    #[test]
-    fn recorder_is_thread_safe() {
-        let rec = std::sync::Arc::new(LatencyRecorder::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = std::sync::Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    for i in 0..250 {
-                        rec.record(Duration::from_micros(i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.count(), 1000);
-    }
-
-    #[test]
-    fn component_timers_fraction() {
-        let t = ComponentTimers::new();
-        t.add("exec", Duration::from_millis(99));
-        t.add("split_overhead", Duration::from_millis(1));
-        assert!((t.fraction("split_overhead") - 0.01).abs() < 1e-9);
-        assert_eq!(t.grand_total(), Duration::from_millis(100));
-        let report = t.report();
-        assert_eq!(report.len(), 2);
-        t.reset();
-        assert_eq!(t.grand_total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn throughput_counts() {
-        let t = Throughput::new();
-        for _ in 0..10 {
-            t.incr();
-        }
-        assert_eq!(t.count(), 10);
     }
 }

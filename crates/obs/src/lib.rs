@@ -7,7 +7,8 @@
 //!   histograms ([`Histogram`]), O(1) to record from any thread.
 //! * **Spans** — per-batch lifecycle (seal → exec → decide → commit),
 //!   per-segment exec-pool spans (queue wait vs run), WAL spans (append,
-//!   fsync, epoch cut), VM compile — fixed-size events in bounded
+//!   fsync, epoch cut), VM compile, and the per-hop components of the §4
+//!   overhead experiment ([`Obs::time`]) — fixed-size events in bounded
 //!   per-thread rings with monotonic timestamps.
 //! * **Exporters** — periodic JSON snapshot + end-of-run dump
 //!   (`metrics.json` + `trace.jsonl`), rendered by the `obs_report` bin.
@@ -248,6 +249,19 @@ impl Obs {
         }
     }
 
+    /// Runs `f`, recording its duration as a `stage` span. When off this is
+    /// `f()` behind one predicted branch: the clock is never read.
+    #[inline]
+    pub fn time<R>(&self, stage: Stage, id: u64, f: impl FnOnce() -> R) -> R {
+        if !self.enabled() {
+            return f();
+        }
+        let start = monotonic_ns();
+        let r = f();
+        self.stage_span(stage, id, start, monotonic_ns());
+        r
+    }
+
     /// The duration histogram behind a stage (for report/bench readers).
     pub fn stage_hist(&self, stage: Stage) -> &Arc<Histogram> {
         &self.0.stage_hists[stage as usize]
@@ -443,6 +457,8 @@ mod tests {
         assert_eq!(obs.now_ns(), 0);
         obs.stage_span(Stage::BatchExec, 1, 0, 100);
         assert_eq!(obs.stage_hist(Stage::BatchExec).count(), 0);
+        assert_eq!(obs.time(Stage::Body, 1, || 7), 7);
+        assert_eq!(obs.stage_hist(Stage::Body).count(), 0);
         assert_eq!(obs.dump().unwrap(), None);
         // Counters stay live even when off: they back the engine stats.
         obs.counter("coord.commits").inc();
@@ -460,6 +476,8 @@ mod tests {
         let t0 = obs.now_ns();
         obs.stage_span(Stage::WalFsync, 7, t0, t0 + 1_000);
         assert_eq!(obs.stage_hist(Stage::WalFsync).count(), 1);
+        assert_eq!(obs.time(Stage::Body, 1, || 7), 7);
+        assert_eq!(obs.stage_hist(Stage::Body).count(), 1);
         assert!(!obs.tracing());
     }
 

@@ -51,10 +51,32 @@ pub enum Stage {
     /// Live-upgrade migration pass: a worker running `__migrate__` over its
     /// owned entities at a version switch (id = the new version).
     UpgradeMigrate,
+    // The per-hop components of the §4 overhead experiment follow, timed
+    // through `Obs::time` (id = the transaction, request, batch or version
+    // being worked on).
+    /// Reading an entity's state through the transaction's buffer overlay.
+    StateRead,
+    /// Executing a method body (interp or VM).
+    Body,
+    /// Recording a hop's effects into the transaction buffer.
+    BufferWrite,
+    /// Installing state in the partition store: a StateFlow commit apply
+    /// or a StateFun response install.
+    StateStore,
+    /// StateFun: materializing state for shipping to or from the remote
+    /// function runtime.
+    StateSerialize,
+    /// StateFun: materializing shipped state on the remote side.
+    StateDeserialize,
+    /// StateFun: reconstructing the entity object from its state.
+    ObjectConstruct,
+    /// StateFun: carrying the split-function machinery (continuation
+    /// frames and saved environments) in an event.
+    SplitOverhead,
 }
 
 /// All stages, in declaration order (index = `stage as usize`).
-pub const STAGES: [Stage; 12] = [
+pub const STAGES: [Stage; 20] = [
     Stage::BatchSeal,
     Stage::BatchExec,
     Stage::BatchDecide,
@@ -67,6 +89,14 @@ pub const STAGES: [Stage; 12] = [
     Stage::VmCompile,
     Stage::Invoke,
     Stage::UpgradeMigrate,
+    Stage::StateRead,
+    Stage::Body,
+    Stage::BufferWrite,
+    Stage::StateStore,
+    Stage::StateSerialize,
+    Stage::StateDeserialize,
+    Stage::ObjectConstruct,
+    Stage::SplitOverhead,
 ];
 
 impl Stage {
@@ -85,6 +115,14 @@ impl Stage {
             Stage::VmCompile => "vm_compile",
             Stage::Invoke => "invoke",
             Stage::UpgradeMigrate => "upgrade_migrate",
+            Stage::StateRead => "state_read",
+            Stage::Body => "body",
+            Stage::BufferWrite => "buffer_write",
+            Stage::StateStore => "state_store",
+            Stage::StateSerialize => "state_serialize",
+            Stage::StateDeserialize => "state_deserialize",
+            Stage::ObjectConstruct => "object_construct",
+            Stage::SplitOverhead => "split_overhead",
         }
     }
 

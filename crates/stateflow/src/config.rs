@@ -121,8 +121,8 @@ pub struct StateflowConfig {
     pub service_time: Duration,
     /// Fault injection: scripted crashes (per incarnation, at chosen
     /// protocol points), message faults at the coordinator/worker channel
-    /// seams, or nothing (`ChaosPlan::none()`, the default). The legacy
-    /// `FailurePlan` converts into a one-crash plan via `Into`.
+    /// seams, or nothing (`ChaosPlan::none()`, the default).
+    /// `ChaosPlan::single_crash` is the one-crash shorthand.
     pub chaos: ChaosPlan,
     /// Optional execution-history recording for the serializability
     /// checker. `None` (the default) records nothing and costs one branch

@@ -155,8 +155,7 @@ pub enum WorkerMsg {
         /// Transaction id.
         txn: TxnId,
         /// The chain position dedup resumes at: entry hop + 1, advanced
-        /// further by same-partition continuations inside the segment
-        /// (mirrors the serial path's bookkeeping exactly).
+        /// further by same-partition continuations inside the segment.
         next_hop: u32,
         /// The transaction's buffer with this segment's effects recorded.
         buffer: TxnBuffer,
@@ -207,11 +206,12 @@ pub enum WorkerMsg {
     Shutdown,
 }
 
-/// How a pool-executed chain segment ended (see [`WorkerMsg::SegmentDone`]).
+/// How a chain segment ended (inline, or reported through
+/// [`WorkerMsg::SegmentDone`]).
 #[derive(Debug, Clone)]
 pub enum SegmentOutcome {
     /// The chain finished; the protocol thread reports `ExecDone` (and for
-    /// solo batches decides + commits first, as the serial path does).
+    /// solo batches decides + commits first).
     Respond(Response),
     /// The chain suspended at a cross-partition call: forward `inv` to
     /// `owner` at chain position `hop`.

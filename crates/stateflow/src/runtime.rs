@@ -7,8 +7,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use se_dataflow::{
-    delay_channel, ComponentTimers, DelaySender, EntityRuntime, ReplayableSource,
-    ResponseCompleter, ResponseWaiter, SnapshotStore, SourceReader, StateStore,
+    delay_channel, DelaySender, EntityRuntime, ReplayableSource, ResponseCompleter, ResponseWaiter,
+    SnapshotStore, SourceReader, StateStore,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId, VersionRegistry};
 use se_lang::{EntityRef, LangError, Value};
@@ -47,7 +47,6 @@ pub struct StateflowRuntime {
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stats: Arc<CoordStats>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
     obs: se_obs::Obs,
     /// Periodic `metrics.json` snapshot thread, if configured; stopped
     /// (dropped) at shutdown before the final dump.
@@ -102,7 +101,6 @@ impl StateflowRuntime {
         let registry = VersionRegistry::new(Arc::clone(&graph), runner);
         obs.gauge("deploy.active_version").set(graph.version as i64);
         let snapshots = Arc::new(SnapshotStore::with_retention(cfg.snapshot_retention));
-        let timers = Arc::new(ComponentTimers::new());
         let stats = Arc::new(CoordStats::register(&obs));
         let shutdown = Arc::new(AtomicBool::new(false));
         let source = ReplayableSource::new();
@@ -128,7 +126,6 @@ impl StateflowRuntime {
                 worker_txs.clone(),
                 coord_tx.clone(),
                 Arc::clone(&snapshots),
-                Arc::clone(&timers),
                 obs.clone(),
             );
             threads.push(
@@ -168,7 +165,6 @@ impl StateflowRuntime {
             threads: Mutex::new(threads),
             stats,
             snapshots,
-            timers,
             obs,
             obs_snapshots,
             worker_senders: worker_txs,
@@ -184,11 +180,6 @@ impl StateflowRuntime {
     /// Protocol counters (batches, commits, aborts, snapshots, recoveries).
     pub fn stats(&self) -> &CoordStats {
         &self.stats
-    }
-
-    /// Per-component timing breakdown (overhead experiment).
-    pub fn timers(&self) -> &ComponentTimers {
-        &self.timers
     }
 
     /// The observability handle (stage histograms, counters, run dir).

@@ -23,12 +23,14 @@
 //! of batch *B* requires every `ExecDone` of *B*, and the watermark defers
 //! batch *B+1*'s executions until that commit applied) — so chain segments
 //! fan out to the pool while the protocol thread keeps exclusive ownership
-//! of all protocol state. A segment checks out the transaction's buffer,
-//! executes hops (including same-partition continuations), and checks back
-//! in via a node-local [`WorkerMsg::SegmentDone`]; the protocol thread then
-//! performs the sends, solo commits and bookkeeping exactly where the
-//! serial path would. At `exec_threads = 1` the pool does not exist and the
-//! pre-pool serial schedule is preserved instruction for instruction.
+//! of all protocol state. One function, [`exec_segment`], executes hops: it
+//! takes the transaction's checked-out buffer, runs the entry hop plus any
+//! same-partition continuations, and hands the buffer back with the
+//! segment's outcome. At `exec_threads = 1` the protocol thread calls it
+//! directly; with a pool, a pool task calls it and reports through a
+//! node-local [`WorkerMsg::SegmentDone`]. Either way the result lands in
+//! [`Worker::handle_segment_done`], the one place that checks the buffer
+//! back in and performs the sends, solo commits and crashes.
 //!
 //! Chaos hardening: with a scripted [`se_chaos::ChaosPlan`] armed, any
 //! data-plane message may arrive duplicated, late or not at all (until a
@@ -48,14 +50,15 @@ use std::time::Duration;
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
-    send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, DurableOptions, DurableStore,
-    SharedStateStore, SnapshotStore, StateStore,
+    send_with_chaos, DelayReceiver, DelaySender, DurableOptions, DurableStore, SharedStateStore,
+    SnapshotStore, StateStore,
 };
 use se_ir::{
     partition_for, process_invocation_with, Invocation, RequestId, Response, StepEffect,
     VersionRegistry,
 };
-use se_lang::LangError;
+use se_lang::{EntityRef, LangError, Symbol, Value};
+use se_obs::Stage;
 
 use crate::config::{DurabilityMode, StateflowConfig};
 use crate::msg::{ConflictFlags, CoordMsg, SegmentOutcome, WorkerMsg};
@@ -75,21 +78,20 @@ struct DeferredExec {
 /// A worker thread's state and message loop.
 pub struct Worker {
     id: usize,
-    /// `worker<id>`, computed once: the chaos hooks consult it on every
-    /// executed hop, and the hot path must not allocate per call.
-    name: String,
     cfg: StateflowConfig,
-    /// Every deployed program version (graph + body runner), keyed by
-    /// version. Executions resolve through it per invocation, so chains in
-    /// flight across a live upgrade keep running the version they were
-    /// stamped with at their root while new roots pick up the upgrade.
-    registry: Arc<VersionRegistry>,
-    /// The partition store. The protocol thread is the only writer; with an
-    /// exec pool, pool tasks read the committed snapshot through it.
-    store: SharedStateStore,
-    /// The intra-partition exec pool plus the shared context its tasks
-    /// capture; `None` at `exec_threads = 1` (serial schedule).
-    pool: Option<(rayon::ThreadPool, Arc<PoolCtx>)>,
+    /// What hop execution reads (program versions, the partition store),
+    /// shared with exec-pool tasks.
+    ctx: Arc<ExecCtx>,
+    /// The intra-partition exec pool; `None` at `exec_threads = 1`, where
+    /// segments run inline on the protocol thread.
+    pool: Option<rayon::ThreadPool>,
+    /// Nanoseconds pool threads spent running segments (stays 0 when
+    /// `SE_OBS=off` because `now_ns` short-circuits). Pool-only, like
+    /// `exec_segments`: serial workers report 0, which the bench
+    /// `exec_utilization` column relies on.
+    exec_busy_ns: se_obs::Counter,
+    /// Segments executed on the pool.
+    exec_segments: se_obs::Counter,
     /// Per-batch buffered accesses: batches overlap under pipelining, so
     /// reservation state must be keyed by batch, not just transaction.
     buffers: HashMap<BatchId, HashMap<TxnId, TxnBuffer>>,
@@ -109,7 +111,6 @@ pub struct Worker {
     peers: Vec<DelaySender<WorkerMsg>>,
     coord: DelaySender<CoordMsg>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
     /// The partition's durable layer (`DurabilityMode::Wal`): commits and
     /// creates are logged as they apply, epochs cut on snapshot markers,
     /// and `Restore` recovers state from disk instead of the in-memory
@@ -119,8 +120,6 @@ pub struct Worker {
     /// Observability handle: exec-pool spans and WAL spans flow through it
     /// (a single predicted branch per probe when `SE_OBS=off`).
     obs: se_obs::Obs,
-    /// Method bodies executed on the protocol thread (serial schedule).
-    body_runs: se_obs::Counter,
     gen: u64,
     /// Set after a simulated crash until the next Restore.
     dead: bool,
@@ -137,7 +136,6 @@ impl Worker {
         peers: Vec<DelaySender<WorkerMsg>>,
         coord: DelaySender<CoordMsg>,
         snapshots: Arc<SnapshotStore<StateStore>>,
-        timers: Arc<ComponentTimers>,
         obs: se_obs::Obs,
     ) -> Self {
         let name = format!("worker{id}");
@@ -164,34 +162,30 @@ impl Worker {
             d
         });
         let pool = (cfg.exec_threads > 1).then(|| {
-            let ctx = Arc::new(PoolCtx {
-                cfg: cfg.clone(),
-                registry: Arc::clone(&registry),
-                store: store.clone(),
-                timers: Arc::clone(&timers),
-                home: peers[id].clone(),
-                id,
-                name: name.clone(),
-                n_workers: peers.len(),
-                busy_ns: obs.counter("exec.busy_ns"),
-                segments: obs.counter("exec.segments"),
-                body_runs: obs.counter("vm.body_runs"),
-                obs: obs.clone(),
-            });
-            let pool = rayon::ThreadPoolBuilder::new()
+            rayon::ThreadPoolBuilder::new()
                 .num_threads(cfg.exec_threads)
                 .thread_name(move |t| format!("stateflow-worker{id}-exec{t}"))
                 .build()
-                .expect("build exec pool");
-            (pool, ctx)
+                .expect("build exec pool")
         });
-        Self {
-            name,
-            id,
-            cfg,
+        let ctx = Arc::new(ExecCtx {
+            cfg: cfg.clone(),
             registry,
             store,
+            home: peers[id].clone(),
+            id,
+            name,
+            n_workers: peers.len(),
+            body_runs: obs.counter("vm.body_runs"),
+            obs: obs.clone(),
+        });
+        Self {
+            id,
+            cfg,
+            ctx,
             pool,
+            exec_busy_ns: obs.counter("exec.busy_ns"),
+            exec_segments: obs.counter("exec.segments"),
             buffers: HashMap::new(),
             expected_hops: HashMap::new(),
             reserved: BTreeSet::new(),
@@ -201,9 +195,7 @@ impl Worker {
             peers,
             coord,
             snapshots,
-            timers,
             durable,
-            body_runs: obs.counter("vm.body_runs"),
             obs,
             gen: 0,
             dead: false,
@@ -211,7 +203,7 @@ impl Worker {
     }
 
     fn node_name(&self) -> &str {
-        &self.name
+        &self.ctx.name
     }
 
     /// The message loop; returns when a `Shutdown` message arrives or all
@@ -339,7 +331,7 @@ impl Worker {
                 // policy) is what makes the epoch durable, and costs only
                 // the dirty set already in the log — O(dirty), not O(state).
                 let durable = self.durable.as_mut().map(|d| {
-                    d.cut_epoch(epoch, &self.store.read())
+                    d.cut_epoch(epoch, &self.ctx.store.read())
                         .expect("cut durable epoch");
                     if let Some(floor) = durable_floor {
                         d.compact_below(floor).expect("compact WAL");
@@ -347,7 +339,7 @@ impl Worker {
                     d.last_durable_epoch()
                 });
                 self.snapshots
-                    .put(epoch, self.node_name(), self.store.snapshot());
+                    .put(epoch, self.node_name(), self.ctx.store.snapshot());
                 self.send_coord_ctl(CoordMsg::SnapshotAck {
                     gen: self.gen,
                     epoch,
@@ -389,16 +381,16 @@ impl Worker {
         &mut self,
         class: &str,
         key: &str,
-        init: Vec<(String, se_lang::Value)>,
+        init: Vec<(String, Value)>,
     ) -> Result<(), LangError> {
-        let entry = self.registry.active_entry();
+        let entry = self.ctx.registry.active_entry();
         let class_def = &entry.graph.program.class_or_err(class)?.class;
-        let r = se_lang::EntityRef::new(class, key);
+        let r = EntityRef::new(class, key);
         let state = class_def.initial_state(key, init);
         if let Some(d) = &mut self.durable {
             d.log_create(r, &state).expect("log create");
         }
-        self.store.write().insert(r, state);
+        self.ctx.store.write().insert(r, state);
         Ok(())
     }
 
@@ -428,55 +420,74 @@ impl Worker {
         self.run_or_spawn(batch, txn, hop, inv, solo);
     }
 
-    /// Routes a runnable exec: inline on the protocol thread (serial
-    /// schedule), or checked out to the exec pool.
+    /// Runs a runnable exec: hop dedup, buffer check-out, then
+    /// [`exec_segment`] inline on the protocol thread or on the exec pool.
+    ///
+    /// Hop-sequence dedup: chains advance strictly forward, so a delivery
+    /// at or below the last executed hop is a duplicate — re-running it
+    /// would double-apply effects like `balance += a` through the buffer
+    /// overlay. The buffer check-out is sound because nothing else can need
+    /// that buffer until [`Worker::handle_segment_done`] checks it back in:
+    /// reservation only starts after every `ExecDone` of the batch, and this
+    /// transaction's `ExecDone` (or its next remote hop) is sent from there.
     fn run_or_spawn(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
-        if self.pool.is_some() {
-            self.spawn_segment(batch, txn, hop, inv, solo);
-        } else {
-            self.run_chain(batch, txn, hop, inv, solo);
+        let expected = self
+            .expected_hops
+            .entry(batch)
+            .or_default()
+            .entry(txn)
+            .or_insert(0);
+        if hop < *expected {
+            return;
         }
-    }
-
-    /// Checks a runnable exec out to the intra-partition pool: hop dedup
-    /// happens here (protocol thread), then the transaction's buffer moves
-    /// into the pool task for the duration of the segment. Sound because
-    /// nothing else can need that buffer until the segment checks it back
-    /// in: reservation only starts after every `ExecDone` of the batch, and
-    /// this transaction's `ExecDone` (or its next remote hop) is sent from
-    /// `handle_segment_done`, after reinstalling the buffer.
-    fn spawn_segment(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
-        {
-            let expected = self
-                .expected_hops
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_insert(0);
-            if hop < *expected {
-                return;
-            }
-            *expected = hop + 1;
-        }
+        *expected = hop + 1;
         let buffer = self
             .buffers
             .entry(batch)
             .or_default()
             .remove(&txn)
             .unwrap_or_default();
-        let (pool, ctx) = self.pool.as_ref().expect("spawn_segment requires a pool");
-        let ctx = Arc::clone(ctx);
+        let Some(pool) = &self.pool else {
+            let (next_hop, buffer, outcome) = exec_segment(&self.ctx, txn, hop, inv, buffer);
+            self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo);
+            return;
+        };
+        let ctx = Arc::clone(&self.ctx);
+        let (busy_ns, segments) = (self.exec_busy_ns.clone(), self.exec_segments.clone());
         let gen = self.gen;
         // Queue-wait span start: stamped on the protocol thread so the gap
         // until a pool thread picks the segment up is visible per se.
         let spawned_ns = self.obs.now_ns();
-        pool.spawn(move || run_segment(&ctx, gen, batch, txn, hop, inv, solo, buffer, spawned_ns));
+        pool.spawn(move || {
+            let run_start = ctx.obs.now_ns();
+            ctx.obs
+                .stage_span(Stage::SegQueueWait, txn, spawned_ns, run_start);
+            segments.inc();
+            let (next_hop, buffer, outcome) = exec_segment(&ctx, txn, hop, inv, buffer);
+            let run_end = ctx.obs.now_ns();
+            ctx.obs.stage_span(Stage::SegRun, txn, run_start, run_end);
+            busy_ns.add(run_end.saturating_sub(run_start));
+            // Node-local completion (same "process"): bypasses the
+            // simulated network and chaos.
+            ctx.home.send_after(
+                WorkerMsg::SegmentDone {
+                    gen,
+                    batch,
+                    txn,
+                    next_hop,
+                    buffer,
+                    outcome,
+                    solo,
+                },
+                Duration::ZERO,
+            );
+        });
     }
 
-    /// A pool segment finished: check the buffer back in, mirror the
-    /// segment's hop bookkeeping, then perform the protocol action the
-    /// serial path would have performed inline (report/solo-commit, or
-    /// forward the chain to its next partition).
+    /// A segment finished (inline, or reported by the pool): check the
+    /// buffer back in, advance the hop position past any local
+    /// continuations, then report/solo-commit, forward the chain to its
+    /// next partition, or crash.
     fn handle_segment_done(
         &mut self,
         batch: BatchId,
@@ -487,7 +498,7 @@ impl Worker {
         solo: bool,
     ) {
         if matches!(outcome, SegmentOutcome::Crashed) {
-            // The scripted crash fired on a pool thread; the "process"
+            // The scripted crash fired mid-segment; the "process"
             // (protocol thread included) dies here.
             self.crash();
             return;
@@ -548,140 +559,16 @@ impl Worker {
                 continue;
             };
             if queue.is_empty() {
-                // Drop the entry before running: a solo commit inside
-                // run_chain advances the watermark past this batch, after
-                // which the loop would never revisit (and clean) its key.
+                // Drop the entry before running: an inline solo commit
+                // advances the watermark past this batch, after which the
+                // loop would never revisit (and clean) its key.
                 self.deferred.remove(&batch);
             }
             self.run_or_spawn(batch, item.txn, item.hop, item.inv, item.solo);
-            // A solo commit inside run_chain may have advanced the
-            // watermark; re-resolve the runnable batch from scratch. A
-            // batch's queue only holds work that arrived before the batch
-            // became runnable, so an advance past it cannot strand items.
-        }
-    }
-
-    /// The execute phase for one hop of a transaction's invocation chain.
-    ///
-    /// Reads see the committed snapshot overlaid with the transaction's own
-    /// buffered writes; effects are buffered, never applied — Aria defers
-    /// all writes to the commit phase. Solo (single-transaction fallback)
-    /// batches commit at the final hop; see [`Worker::commit_solo`].
-    fn run_chain(
-        &mut self,
-        batch: BatchId,
-        txn: TxnId,
-        mut hop: u32,
-        mut inv: Invocation,
-        solo: bool,
-    ) {
-        {
-            // Hop-sequence dedup: chains advance strictly forward, so a
-            // delivery at or below the last executed hop is a duplicate —
-            // re-running it would double-apply effects like `balance += a`
-            // through the buffer overlay.
-            let expected = self
-                .expected_hops
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_insert(0);
-            if hop < *expected {
-                return;
-            }
-            *expected = hop + 1;
-        }
-        loop {
-            // Failure injection: scripted crashes land per executed hop.
-            if self
-                .cfg
-                .chaos
-                .should_crash(self.node_name(), CrashPoint::Exec)
-            {
-                self.crash();
-                return;
-            }
-            // Synthetic service time: burned on this thread, a partition is
-            // sequential.
-            se_dataflow::burn(self.cfg.net.scaled(self.cfg.service_time));
-
-            let target = inv.target;
-            let request = inv.request;
-            // O(1): entity state is copy-on-write, so "read the committed
-            // snapshot" is a refcount bump, not a deep copy. The read guard
-            // must drop before finish_chain (a solo commit takes the write
-            // lock), hence the two-step clone.
-            let committed = self.store.read().get(&target).cloned();
-            let Some(committed) = committed else {
-                let response = Response {
-                    request,
-                    result: Err(LangError::runtime(format!("unknown entity {target}"))),
-                };
-                self.finish_chain(batch, txn, response, solo);
-                return;
-            };
-            let buffer = self
-                .buffers
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_default();
-            let before = self
-                .timers
-                .time("state_read", || buffer.overlay_read(&target, &committed));
-            // Copy-on-write: `after` shares storage with `before` until the
-            // method actually writes an attribute.
-            let mut after = before.clone();
-            // Version pinning: the chain runs the program version stamped at
-            // its root (continuations inherit it), not whatever is active.
-            let entry = self.registry.resolve(inv.version);
-            let effect = self.timers.time("function_execution", || {
-                process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
-            });
-            self.body_runs.inc();
-            self.timers.time("state_write_buffer", || {
-                buffer.record_effects(&target, &before, &after)
-            });
-
-            match effect {
-                StepEffect::Respond(response) => {
-                    self.finish_chain(batch, txn, response, solo);
-                    return;
-                }
-                StepEffect::Emit(next) => {
-                    hop += 1;
-                    let owner = partition_for(next.target.key.as_str(), self.peers.len());
-                    if owner == self.id {
-                        // Same-partition call: continue locally, no hop
-                        // message — but the position still advances so a
-                        // later duplicate of the *message* that started
-                        // this chain segment stays below `expected`.
-                        self.expected_hops
-                            .entry(batch)
-                            .or_default()
-                            .insert(txn, hop + 1);
-                        inv = next;
-                        continue;
-                    }
-                    let bytes = next.approx_size();
-                    send_with_chaos(
-                        &self.cfg.chaos,
-                        Seam::WorkerToWorker,
-                        &self.cfg.net,
-                        &self.peers[owner],
-                        WorkerMsg::Exec {
-                            gen: self.gen,
-                            batch,
-                            txn,
-                            hop,
-                            inv: next,
-                            solo,
-                        },
-                        self.cfg.net.f2f_latency(bytes),
-                    );
-                    return;
-                }
-            }
+            // An inline solo commit may have advanced the watermark;
+            // re-resolve the runnable batch from scratch. A batch's queue
+            // only holds work that arrived before the batch became
+            // runnable, so an advance past it cannot strand items.
         }
     }
 
@@ -880,9 +767,15 @@ impl Worker {
                 d.log_commit(batch, &buffer.writes).expect("log commit");
             }
         }
-        self.timers.time("state_store", || {
-            let mut store = self.store.write();
-            for (entity, writes) in buffer.writes {
+        self.install_writes(batch, buffer.writes);
+    }
+
+    /// Installs buffered writes in the partition store (`id`: the batch,
+    /// or the version of a migration pass).
+    fn install_writes(&self, id: u64, writes: BTreeMap<EntityRef, BTreeMap<Symbol, Value>>) {
+        self.obs.time(Stage::StateStore, id, || {
+            let mut store = self.ctx.store.write();
+            for (entity, writes) in writes {
                 for (attr, value) in writes {
                     // Entities written here were read from this store
                     // during execute; they exist unless a concurrent
@@ -906,15 +799,15 @@ impl Worker {
     /// whatever defaults the class declares for attributes never written.
     fn handle_migrate(&mut self, version: u64, _epoch: se_dataflow::Epoch) {
         let t0 = self.obs.now_ns();
-        let entry = self.registry.resolve(version);
+        let entry = self.ctx.registry.resolve(version);
         let program = &entry.graph.program;
         // Collect targets first: the read guard must drop before execution
         // (migration bodies read the store through the same guard path).
         // An entity needs the pass when its class declares `__migrate__` OR
         // gained attributes in the new version — those are backfilled with
         // their declared defaults so v2 bodies never read a hole.
-        let targets: Vec<se_lang::EntityRef> = {
-            let store = self.store.read();
+        let targets: Vec<EntityRef> = {
+            let store = self.ctx.store.read();
             store
                 .iter()
                 .filter(|(r, state)| {
@@ -942,7 +835,7 @@ impl Worker {
                 self.crash();
                 return;
             }
-            let committed = match self.store.read().get(&target) {
+            let committed = match self.ctx.store.read().get(&target) {
                 Some(state) => state.clone(),
                 None => continue,
             };
@@ -974,7 +867,7 @@ impl Worker {
                         eprintln!(
                             "warning: {}: __migrate__ to v{version} failed for {target}: {e}; \
                              entity keeps its backfilled-but-unmigrated shape",
-                            self.name
+                            self.ctx.name
                         );
                         // The backfill still commits — v2 bodies must not
                         // read holes even when the migration body is buggy.
@@ -991,7 +884,7 @@ impl Worker {
                     eprintln!(
                         "warning: {}: __migrate__ to v{version} suspended for {target} \
                          (remote call); entity keeps its backfilled shape",
-                        self.name
+                        self.ctx.name
                     );
                     buffer.record_effects(&target, &before, &backfilled);
                 }
@@ -1007,22 +900,11 @@ impl Worker {
             }
             d.log_version_cut(version).expect("log version cut");
         }
-        self.timers.time("state_store", || {
-            let mut store = self.store.write();
-            for (entity, writes) in buffer.writes {
-                for (attr, value) in writes {
-                    let _ = store.apply_write(&entity, attr, value);
-                }
-            }
-        });
-        self.registry.set_active(version);
+        self.install_writes(version, buffer.writes);
+        self.ctx.registry.set_active(version);
         self.obs.counter("upgrade.migrated_entities").add(migrated);
-        self.obs.stage_span(
-            se_obs::Stage::UpgradeMigrate,
-            version,
-            t0,
-            self.obs.now_ns(),
-        );
+        self.obs
+            .stage_span(Stage::UpgradeMigrate, version, t0, self.obs.now_ns());
         self.send_coord_ctl(CoordMsg::MigrateAck {
             gen: self.gen,
             version,
@@ -1040,7 +922,7 @@ impl Worker {
         // Volatile state dies with the "process". In-flight pool segments
         // are zombies of the dead incarnation; their completions are fenced
         // by the generation check (`dead` now, generation after restore).
-        self.store.replace(StateStore::new());
+        self.ctx.store.replace(StateStore::new());
         self.buffers.clear();
         self.expected_hops.clear();
         self.reserved.clear();
@@ -1067,10 +949,10 @@ impl Worker {
             // right, since the coordinator replays the source from the
             // target's offset and re-executed batches re-log from there.
             let (state, reached) = d.recover(epoch).expect("recover from disk");
-            self.store.replace(state);
+            self.ctx.store.replace(state);
             reached
         } else {
-            self.store.replace(
+            self.ctx.store.replace(
                 epoch
                     .and_then(|e| self.snapshots.get(e, self.node_name()))
                     .unwrap_or_default(),
@@ -1091,133 +973,103 @@ impl Worker {
     }
 }
 
-/// Everything a pool-executed segment needs, captured once at pool build
-/// time (pool tasks must not borrow the `Worker` — the protocol thread keeps
-/// mutating it while segments run).
-struct PoolCtx {
+/// Everything hop execution needs, captured once at worker build time and
+/// shared with exec-pool tasks (which must not borrow the `Worker`: the
+/// protocol thread keeps mutating it while segments run).
+struct ExecCtx {
     cfg: StateflowConfig,
+    /// Every deployed program version (graph + body runner), keyed by
+    /// version. Executions resolve through it per invocation, so chains in
+    /// flight across a live upgrade keep running the version they were
+    /// stamped with at their root while new roots pick up the upgrade.
     registry: Arc<VersionRegistry>,
+    /// The partition store. The protocol thread is the only writer; pool
+    /// tasks read the committed snapshot through it.
     store: SharedStateStore,
-    timers: Arc<ComponentTimers>,
-    /// The owning worker's own inbox: segment completions are node-local
-    /// (same "process"), so they bypass the simulated network and chaos.
+    /// The owning worker's own inbox, for pool segment completions.
     home: DelaySender<WorkerMsg>,
     id: usize,
+    /// `worker<id>`, computed once: the chaos hooks consult it on every
+    /// executed hop, and the hot path must not allocate per call.
     name: String,
     n_workers: usize,
-    /// Nanoseconds pool threads spent running segments (all modes; stays 0
-    /// when `SE_OBS=off` because `now_ns` short-circuits). Feeds the bench
-    /// `exec_utilization` column.
-    busy_ns: se_obs::Counter,
-    /// Segments executed on the pool.
-    segments: se_obs::Counter,
-    /// Method bodies executed on pool threads.
+    /// Method bodies executed (protocol thread and pool alike).
     body_runs: se_obs::Counter,
     obs: se_obs::Obs,
 }
 
-/// The pool-side half of [`Worker::run_chain`]: executes one chain segment —
-/// the entry hop plus any same-partition continuations — against the
-/// committed snapshot overlaid with the transaction's checked-out buffer,
-/// then reports via [`WorkerMsg::SegmentDone`]. Mirrors the serial path's
-/// hop arithmetic exactly so `exec_threads = 1` and `≥ 2` keep identical
-/// dedup positions.
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    ctx: &PoolCtx,
-    gen: u64,
-    batch: BatchId,
+/// The execute phase for one chain segment of a transaction: the entry hop
+/// plus any same-partition continuations, against the committed snapshot
+/// overlaid with the transaction's checked-out `buffer`. Effects are
+/// buffered, never applied — Aria defers all writes to the commit phase.
+///
+/// Returns the transaction's next expected hop position (past every local
+/// continuation, so a later duplicate of the message that started this
+/// segment stays below it), the buffer, and how the segment ended.
+fn exec_segment(
+    ctx: &ExecCtx,
     txn: TxnId,
     entry_hop: u32,
     mut inv: Invocation,
-    solo: bool,
     mut buffer: TxnBuffer,
-    spawned_ns: u64,
-) {
-    let run_start = ctx.obs.now_ns();
-    ctx.obs
-        .stage_span(se_obs::Stage::SegQueueWait, txn, spawned_ns, run_start);
-    ctx.segments.inc();
+) -> (u32, TxnBuffer, SegmentOutcome) {
     let mut hop = entry_hop;
-    // Mirrors `expected_hops`: entry dedup already advanced it to
-    // `entry_hop + 1` on the protocol thread; local continuations advance it
-    // further below.
-    let mut next_hop = entry_hop + 1;
-    let done = |next_hop: u32, buffer: TxnBuffer, outcome: SegmentOutcome| {
-        let run_end = ctx.obs.now_ns();
-        ctx.obs
-            .stage_span(se_obs::Stage::SegRun, txn, run_start, run_end);
-        ctx.busy_ns.add(run_end.saturating_sub(run_start));
-        ctx.home.send_after(
-            WorkerMsg::SegmentDone {
-                gen,
-                batch,
-                txn,
-                next_hop,
-                buffer,
-                outcome,
-                solo,
-            },
-            Duration::ZERO,
-        );
-    };
     loop {
+        // Failure injection: scripted crashes land per executed hop.
         if ctx.cfg.chaos.should_crash(&ctx.name, CrashPoint::Exec) {
-            done(next_hop, buffer, SegmentOutcome::Crashed);
-            return;
+            return (hop + 1, buffer, SegmentOutcome::Crashed);
         }
+        // Synthetic service time: burned on this thread, a partition is
+        // sequential.
         se_dataflow::burn(ctx.cfg.net.scaled(ctx.cfg.service_time));
 
         let target = inv.target;
-        let request = inv.request;
-        // O(1): copy-on-write entity state makes the committed read a
-        // refcount bump under a briefly held read guard.
+        // O(1): entity state is copy-on-write, so "read the committed
+        // snapshot" is a refcount bump under a briefly held read guard (a
+        // solo commit takes the write lock right after an inline segment).
         let committed = ctx.store.read().get(&target).cloned();
         let Some(committed) = committed else {
             let response = Response {
-                request,
+                request: inv.request,
                 result: Err(LangError::runtime(format!("unknown entity {target}"))),
             };
-            done(next_hop, buffer, SegmentOutcome::Respond(response));
-            return;
+            return (hop + 1, buffer, SegmentOutcome::Respond(response));
         };
-        let before = ctx
-            .timers
-            .time("state_read", || buffer.overlay_read(&target, &committed));
+        let before = ctx.obs.time(Stage::StateRead, txn, || {
+            buffer.overlay_read(&target, &committed)
+        });
+        // Copy-on-write: `after` shares storage with `before` until the
+        // method actually writes an attribute.
         let mut after = before.clone();
-        // Version pinning, mirroring the serial path.
+        // Version pinning: the chain runs the program version stamped at
+        // its root (continuations inherit it), not whatever is active.
         let entry = ctx.registry.resolve(inv.version);
-        let effect = ctx.timers.time("function_execution", || {
+        let effect = ctx.obs.time(Stage::Body, txn, || {
             process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
         });
         ctx.body_runs.inc();
-        ctx.timers.time("state_write_buffer", || {
+        ctx.obs.time(Stage::BufferWrite, txn, || {
             buffer.record_effects(&target, &before, &after)
         });
 
         match effect {
             StepEffect::Respond(response) => {
-                done(next_hop, buffer, SegmentOutcome::Respond(response));
-                return;
+                return (hop + 1, buffer, SegmentOutcome::Respond(response));
             }
             StepEffect::Emit(next) => {
                 hop += 1;
                 let owner = partition_for(next.target.key.as_str(), ctx.n_workers);
                 if owner == ctx.id {
-                    next_hop = hop + 1;
+                    // Same-partition call: continue locally, no hop message.
                     inv = next;
                     continue;
                 }
-                done(
-                    next_hop,
-                    buffer,
-                    SegmentOutcome::Emit {
-                        owner,
-                        hop,
-                        inv: next,
-                    },
-                );
-                return;
+                let outcome = SegmentOutcome::Emit {
+                    owner,
+                    hop,
+                    inv: next,
+                };
+                return (hop, buffer, outcome);
             }
         }
     }

@@ -10,6 +10,7 @@ use se_compiler::compile;
 use se_dataflow::EntityRuntime;
 use se_lang::builder::*;
 use se_lang::{EntityRef, Program, Type, Value};
+use se_obs::{ObsConfig, ObsMode, Stage};
 use se_stateflow::{StateflowConfig, StateflowRuntime};
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -436,7 +437,7 @@ fn transfers_survive_failure_with_conservation() {
 }
 
 /// A multi-crash script kills the *same* worker twice: the first recovery
-/// must not exhaust the plan (the old one-shot `FailurePlan` semantics), and
+/// must not exhaust the plan (crash countdowns are per incarnation), and
 /// the second incarnation's countdown starts from zero. Exactly-once must
 /// hold across both replays.
 #[test]
@@ -501,17 +502,64 @@ fn same_worker_crashes_twice_and_recovers_twice() {
     rt.shutdown();
 }
 
-#[test]
-fn overhead_timers_populated() {
-    let program = account_program();
-    let rt = deploy(&program, StateflowConfig::fast_test(2));
+/// A fast-test deployment with `exec_threads` and obs in `mode`, holding
+/// one account that has taken a deposit (executed and committed).
+fn deposited_account(exec_threads: usize, mode: ObsMode) -> StateflowRuntime {
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.exec_threads = exec_threads;
+    cfg.obs = ObsConfig {
+        mode,
+        dir: std::env::temp_dir().join("se-stateflow-obs-test"),
+        ..ObsConfig::default()
+    };
+    let rt = deploy(&account_program(), cfg);
+    let a = EntityRef::new("Account", "a");
     rt.create("Account", "a", vec![("balance".into(), Value::Int(1))])
         .unwrap();
-    rt.call(EntityRef::new("Account", "a"), "balance", vec![])
-        .unwrap();
-    let report = rt.timers().report();
-    let names: Vec<&str> = report.iter().map(|(n, _, _)| *n).collect();
-    assert!(names.contains(&"function_execution"), "{names:?}");
-    assert!(names.contains(&"state_read"), "{names:?}");
-    rt.shutdown();
+    rt.call(a, "deposit", vec![Value::Int(2)]).unwrap();
+    assert_eq!(rt.call(a, "balance", vec![]).unwrap(), Value::Int(3));
+    rt
+}
+
+/// The §4 overhead components are se-obs stage histograms: every one is
+/// recorded under `ObsMode::Metrics`, and none is when obs is off.
+#[test]
+fn overhead_timers_populated() {
+    for (mode, recorded) in [(ObsMode::Metrics, true), (ObsMode::Off, false)] {
+        let rt = deposited_account(1, mode);
+        for stage in [
+            Stage::StateRead,
+            Stage::Body,
+            Stage::BufferWrite,
+            Stage::StateStore,
+        ] {
+            let count = rt.obs().stage_hist(stage).count();
+            assert_eq!(count > 0, recorded, "{mode:?}: {stage:?} count {count}");
+        }
+        rt.shutdown();
+    }
+}
+
+/// Inline and pooled schedules run hops through the same function, but the
+/// exec-pool figures (`exec.segments`, `exec.busy_ns`, `seg_run` spans)
+/// stay pool-only: the bench `exec_utilization` column reads 0 for serial
+/// workers.
+#[test]
+fn exec_pool_metrics_stay_pool_only() {
+    for exec_threads in [1, 2] {
+        let rt = deposited_account(exec_threads, ObsMode::Metrics);
+        let obs = rt.obs();
+        let pool_figures = [
+            obs.counter("exec.segments").get(),
+            obs.counter("exec.busy_ns").get(),
+            obs.stage_hist(Stage::SegRun).count(),
+        ];
+        if exec_threads == 1 {
+            assert_eq!(pool_figures, [0, 0, 0]);
+        } else {
+            assert!(pool_figures.iter().all(|&n| n > 0), "{pool_figures:?}");
+        }
+        assert!(obs.stage_hist(Stage::Body).count() > 0);
+        rt.shutdown();
+    }
 }

@@ -51,8 +51,8 @@ pub struct StatefunConfig {
     /// Fault injection: scripted task crashes, message faults on the
     /// remote-function request/response seams, and broker outage windows.
     /// Crash scripts require [`CheckpointMode::Transactional`] (nothing to
-    /// recover from otherwise). The legacy `FailurePlan` converts into a
-    /// one-crash plan via `Into`.
+    /// recover from otherwise). `ChaosPlan::single_crash` is the one-crash
+    /// shorthand.
     pub chaos: ChaosPlan,
     /// Optional execution-history recording (per-key dispatch/install
     /// events for the per-key serialization check). `None` (the default)

@@ -12,9 +12,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use se_chaos::Seam;
-use se_dataflow::{send_with_chaos, ComponentTimers, DelayReceiver, DelaySender};
+use se_dataflow::{send_with_chaos, DelayReceiver, DelaySender};
 use se_ir::{process_invocation_with, InvocationKind, VersionRegistry};
 use se_lang::Env;
+use se_obs::Stage;
 
 use crate::config::StatefunConfig;
 use crate::record::{RemoteRequest, RemoteResponse};
@@ -26,13 +27,11 @@ use crate::record::{RemoteRequest, RemoteResponse};
 /// version stamped on the invocation — the dispatch-side half of the live
 /// upgrade: chains pinned to an old version keep executing old code while
 /// freshly stamped roots already run the new deploy.
-#[allow(clippy::too_many_arguments)]
 pub fn run_remote_worker(
     cfg: StatefunConfig,
     registry: Arc<VersionRegistry>,
     requests: Arc<DelayReceiver<RemoteRequest>>,
     responders: Vec<DelaySender<RemoteResponse>>,
-    timers: Arc<ComponentTimers>,
     obs: se_obs::Obs,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -46,6 +45,7 @@ pub fn run_remote_worker(
             continue;
         };
         let invoke_start = obs.now_ns();
+        let request_id = req.inv.request.0;
 
         // Service time: dispatch + runtime overhead of the external
         // function process, burned on this worker — remote workers are the
@@ -55,11 +55,13 @@ pub fn run_remote_worker(
         // Deserialize the shipped state — modeled as a *materialized* deep
         // copy (a plain clone of copy-on-write state would be a refcount
         // bump and measure nothing).
-        let state = timers.time("state_deserialization", || req.state.deep_clone());
+        let state = obs.time(Stage::StateDeserialize, request_id, || {
+            req.state.deep_clone()
+        });
         // Reconstruct the entity object from its state (§2.3: "the system
         // reconstructs the object using the operator's code and the
         // function's state").
-        let mut state = timers.time("object_construction", || {
+        let mut state = obs.time(Stage::ObjectConstruct, request_id, || {
             let mut s = se_lang::EntityState::new();
             for (k, v) in state {
                 s.insert(k, v);
@@ -69,7 +71,7 @@ pub fn run_remote_worker(
         // Program-transformation overhead probe: the cost of carrying the
         // split-function machinery (continuation frames + saved
         // environments) in events — what E3 shows to be < 1% of the total.
-        timers.time("split_overhead", || {
+        obs.time(Stage::SplitOverhead, request_id, || {
             let _frames = req.inv.stack.clone();
             let _env = match &req.inv.kind {
                 InvocationKind::Resume { env, .. } => env.clone(),
@@ -78,22 +80,16 @@ pub fn run_remote_worker(
         });
 
         let entity = req.inv.target;
-        let request_id = req.inv.request.0;
         let entry = registry.resolve(req.inv.version);
-        let effect = timers.time("function_execution", || {
+        let effect = obs.time(Stage::Body, request_id, || {
             process_invocation_with(&entry.graph.program, &*entry.runner, req.inv, &mut state)
         });
         invocations.inc();
         body_runs.inc();
-        obs.stage_span(
-            se_obs::Stage::Invoke,
-            request_id,
-            invoke_start,
-            obs.now_ns(),
-        );
+        obs.stage_span(Stage::Invoke, request_id, invoke_start, obs.now_ns());
         // Serialize the mutated state for the trip back (materialized, as
         // above).
-        let new_state = timers.time("state_serialization", || state.deep_clone());
+        let new_state = obs.time(Stage::StateSerialize, request_id, || state.deep_clone());
         let bytes = new_state.approx_size();
 
         send_with_chaos(

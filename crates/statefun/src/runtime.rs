@@ -9,8 +9,7 @@ use parking_lot::Mutex;
 
 use se_broker::Broker;
 use se_dataflow::{
-    delay_channel, ComponentTimers, EntityRuntime, ResponseCompleter, ResponseWaiter,
-    SnapshotStore, StateStore,
+    delay_channel, EntityRuntime, ResponseCompleter, ResponseWaiter, SnapshotStore, StateStore,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId, VersionRegistry};
 use se_lang::{EntityRef, LangError, Value};
@@ -45,7 +44,6 @@ pub struct StatefunRuntime {
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
     recovery: Arc<RecoveryCtl>,
     obs: se_obs::Obs,
     obs_snapshots: Mutex<Option<se_obs::PeriodicSnapshots>>,
@@ -84,7 +82,6 @@ impl StatefunRuntime {
         broker.create_topic(topics::EGRESS, 1);
 
         let snapshots = Arc::new(SnapshotStore::with_retention(cfg.snapshot_retention));
-        let timers = Arc::new(ComponentTimers::new());
         let recovery = Arc::new(RecoveryCtl::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>> =
@@ -114,7 +111,6 @@ impl StatefunRuntime {
                 pool_tx.clone(),
                 resp_rx,
                 Arc::clone(&snapshots),
-                Arc::clone(&timers),
                 Arc::clone(&recovery),
                 ctl_tx.clone(),
                 Arc::clone(&shutdown),
@@ -132,15 +128,12 @@ impl StatefunRuntime {
             let registry2 = Arc::clone(&registry);
             let rx = Arc::clone(&pool_rx);
             let responders = resp_txs.clone();
-            let timers2 = Arc::clone(&timers);
             let sd = Arc::clone(&shutdown);
             let obs2 = obs.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("statefun-remote{id}"))
-                    .spawn(move || {
-                        run_remote_worker(cfg2, registry2, rx, responders, timers2, obs2, sd)
-                    })
+                    .spawn(move || run_remote_worker(cfg2, registry2, rx, responders, obs2, sd))
                     .expect("spawn remote worker"),
             );
         }
@@ -240,7 +233,6 @@ impl StatefunRuntime {
             shutdown,
             threads: Mutex::new(threads),
             snapshots,
-            timers,
             recovery,
             obs,
             obs_snapshots,
@@ -249,11 +241,6 @@ impl StatefunRuntime {
 
     fn fresh_request(&self) -> RequestId {
         RequestId(self.next_request.fetch_add(1, Ordering::SeqCst))
-    }
-
-    /// Per-component timing breakdown (overhead experiment).
-    pub fn timers(&self) -> &ComponentTimers {
-        &self.timers
     }
 
     /// The snapshot store (inspected by recovery tests).

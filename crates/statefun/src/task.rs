@@ -23,14 +23,13 @@ use parking_lot::Mutex;
 
 use se_broker::Broker;
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
-use se_dataflow::{
-    send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore,
-};
+use se_dataflow::{send_with_chaos, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore};
 use se_ir::{
     process_invocation_with, Invocation, InvocationKind, RequestId, Response, StepEffect,
     VersionRegistry, INITIAL_VERSION,
 };
 use se_lang::{EntityRef, LangError};
+use se_obs::Stage;
 
 use crate::config::{CheckpointMode, StatefunConfig};
 use crate::record::{topics, RemoteRequest, RemoteResponse, SfRecord};
@@ -116,7 +115,6 @@ pub struct PartitionTask {
     pool_tx: DelaySender<RemoteRequest>,
     resp_rx: DelayReceiver<RemoteResponse>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
     recovery: Arc<RecoveryCtl>,
     ctl_tx: crossbeam::channel::Sender<CtlMsg>,
     shutdown: Arc<AtomicBool>,
@@ -138,7 +136,6 @@ impl PartitionTask {
         pool_tx: DelaySender<RemoteRequest>,
         resp_rx: DelayReceiver<RemoteResponse>,
         snapshots: Arc<SnapshotStore<StateStore>>,
-        timers: Arc<ComponentTimers>,
         recovery: Arc<RecoveryCtl>,
         ctl_tx: crossbeam::channel::Sender<CtlMsg>,
         shutdown: Arc<AtomicBool>,
@@ -161,7 +158,6 @@ impl PartitionTask {
             pool_tx,
             resp_rx,
             snapshots,
-            timers,
             recovery,
             ctl_tx,
             shutdown,
@@ -234,7 +230,6 @@ impl PartitionTask {
                 key,
                 init,
             } => {
-                self.timers.time("routing", || {});
                 let entry = self.registry.resolve(self.active_version);
                 let result = match entry.graph.program.class_or_err(&class) {
                     Ok(c) => {
@@ -255,7 +250,6 @@ impl PartitionTask {
                     self.crash();
                     return;
                 }
-                self.timers.time("routing", || {});
                 self.dispatch_or_queue(inv);
             }
             SfRecord::Barrier { epoch } => {
@@ -322,8 +316,8 @@ impl PartitionTask {
         // a plain clone would be a refcount bump and the experiment's
         // state-serialization component would measure nothing.
         let shipped = self
-            .timers
-            .time("state_serialization", || state.deep_clone());
+            .obs
+            .time(Stage::StateSerialize, inv.request.0, || state.deep_clone());
         let bytes = shipped.approx_size() + inv.approx_size();
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -361,7 +355,7 @@ impl PartitionTask {
             return;
         }
         // Install the returned state into managed operator state.
-        self.timers.time("state_storage", || {
+        self.obs.time(Stage::StateStore, resp.seq, || {
             self.store.insert(resp.entity, resp.new_state);
         });
         self.inflight.remove(&resp.entity);
@@ -535,19 +529,15 @@ impl PartitionTask {
                     }
                 }
             }
-            self.timers.time("state_storage", || {
+            self.obs.time(Stage::StateStore, version, || {
                 self.store.insert(target, after);
             });
         }
         self.active_version = version;
         self.upgrades.push((self.offset, version));
         self.obs.counter("upgrade.migrated_entities").add(migrated);
-        self.obs.stage_span(
-            se_obs::Stage::UpgradeMigrate,
-            version,
-            t0,
-            self.obs.now_ns(),
-        );
+        self.obs
+            .stage_span(Stage::UpgradeMigrate, version, t0, self.obs.now_ns());
         if let Some(h) = &self.cfg.history {
             h.record(HistoryEvent::SfUpgrade {
                 task: self.id,

@@ -9,6 +9,7 @@ use se_chaos::ChaosPlan;
 use se_compiler::compile;
 use se_dataflow::EntityRuntime;
 use se_lang::{EntityRef, Program, Value};
+use se_obs::{ObsConfig, ObsMode, Stage};
 use se_statefun::{CheckpointMode, StatefunConfig, StatefunRuntime};
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -238,29 +239,35 @@ fn exactly_once_with_transactional_checkpoints_and_failure() {
     rt.shutdown();
 }
 
+/// The §4 overhead components are se-obs stage histograms: every one is
+/// recorded under `ObsMode::Metrics`, and none is when obs is off.
 #[test]
 fn overhead_timers_cover_components() {
     let program = se_lang::programs::counter_program();
-    let rt = deploy(&program, StatefunConfig::fast_test(2));
-    rt.create("Counter", "c", vec![]).unwrap();
-    for _ in 0..10 {
-        rt.call(EntityRef::new("Counter", "c"), "incr", vec![Value::Int(1)])
-            .unwrap();
+    for (mode, recorded) in [(ObsMode::Metrics, true), (ObsMode::Off, false)] {
+        let mut cfg = StatefunConfig::fast_test(2);
+        cfg.obs = ObsConfig {
+            mode,
+            dir: std::env::temp_dir().join("se-statefun-overhead-test"),
+            ..ObsConfig::default()
+        };
+        let rt = deploy(&program, cfg);
+        rt.create("Counter", "c", vec![]).unwrap();
+        for _ in 0..10 {
+            rt.call(EntityRef::new("Counter", "c"), "incr", vec![Value::Int(1)])
+                .unwrap();
+        }
+        for stage in [
+            Stage::StateSerialize,
+            Stage::StateDeserialize,
+            Stage::ObjectConstruct,
+            Stage::Body,
+            Stage::SplitOverhead,
+            Stage::StateStore,
+        ] {
+            let count = rt.obs().stage_hist(stage).count();
+            assert_eq!(count > 0, recorded, "{mode:?}: {stage:?} count {count}");
+        }
+        rt.shutdown();
     }
-    let names: Vec<&str> = rt.timers().report().iter().map(|(n, _, _)| *n).collect();
-    for expect in [
-        "routing",
-        "state_serialization",
-        "state_deserialization",
-        "object_construction",
-        "function_execution",
-        "split_overhead",
-        "state_storage",
-    ] {
-        assert!(
-            names.contains(&expect),
-            "missing component {expect}: {names:?}"
-        );
-    }
-    rt.shutdown();
 }

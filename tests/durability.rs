@@ -91,6 +91,12 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
 fn crash_at_each_protocol_point_recovers_from_disk() {
     for point in [CrashPoint::Exec, CrashPoint::Reserve, CrashPoint::Commit] {
         let mut cfg = durable_cfg(3);
+        // Only sealed multi-transaction batches run a reservation round;
+        // retries commit as serial-fallback batches without one. Left at
+        // `fast_test`'s 256, a quick host can seal the 80 first attempts
+        // into fewer than 5 batches, and the Reserve crash never fires.
+        // Capping at 8 seals them into at least 10.
+        cfg.max_batch = 8;
         cfg.chaos = ChaosPlan::from_script(FaultScript {
             crashes: vec![CrashFault {
                 node: "worker1".into(),

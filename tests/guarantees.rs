@@ -3,8 +3,8 @@
 //! updates under failure on both engines — the paper's core claims,
 //! exercised through the public facade.
 //!
-//! Fault injection runs through `ChaosPlan` scripts (the single injection
-//! path; the legacy `FailurePlan` is a thin wrapper over the same plan).
+//! Fault injection runs through `ChaosPlan` scripts, the single injection
+//! path.
 
 use std::sync::Arc;
 use std::time::Duration;
