@@ -11,34 +11,24 @@
 //! (default 750 µs) because 5% of a ~3 ms simulated-network median is
 //! smaller than OS scheduling noise on a shared CI host.
 //!
-//! Env knobs:
-//!   SE_OVERHEAD_DEPTH   chain depth                (default 4)
-//!   SE_OVERHEAD_REPS    timed calls per mode/round (default 200)
-//!   SE_OVERHEAD_ROUNDS  interleaved A/B rounds     (default 3)
-//!   SE_OVERHEAD_PCT     relative budget            (default 0.05)
-//!   SE_OVERHEAD_FLOOR_US absolute noise floor, µs  (default 750)
+//! Knobs (defaults in the README's knob table): `SE_OVERHEAD_DEPTH` (chain
+//! depth), `SE_OVERHEAD_REPS` (timed calls per mode and round),
+//! `SE_OVERHEAD_ROUNDS` (interleaved rounds), `SE_OVERHEAD_PCT` and
+//! `SE_OVERHEAD_FLOOR_US` (relative budget and absolute floor, µs).
 //!
 //! Exit codes: 0 within budget, 1 over budget.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use se_core::{deploy, RuntimeChoice, StateflowConfig};
 use se_lang::{EntityRef, Value};
+use se_obs::knob;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
+const DEPTH: NonZeroUsize = NonZeroUsize::new(4).unwrap();
+const REPS: NonZeroUsize = NonZeroUsize::new(200).unwrap();
+const ROUNDS: NonZeroUsize = NonZeroUsize::new(3).unwrap();
 
 /// Runs one deployment in `mode` and returns per-call latencies in ns.
 fn run_once(
@@ -90,11 +80,11 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let depth = env_usize("SE_OVERHEAD_DEPTH", 4);
-    let reps = env_usize("SE_OVERHEAD_REPS", 200).max(10);
-    let rounds = env_usize("SE_OVERHEAD_ROUNDS", 3).max(1);
-    let pct = env_f64("SE_OVERHEAD_PCT", 0.05);
-    let floor_ns = env_f64("SE_OVERHEAD_FLOOR_US", 750.0) * 1e3;
+    let depth = knob("SE_OVERHEAD_DEPTH", DEPTH).get();
+    let reps = knob("SE_OVERHEAD_REPS", REPS).get().max(10);
+    let rounds = knob("SE_OVERHEAD_ROUNDS", ROUNDS).get();
+    let pct = knob("SE_OVERHEAD_PCT", 0.05);
+    let floor_ns = knob("SE_OVERHEAD_FLOOR_US", 750.0) * 1e3;
 
     let dump_dir = std::env::temp_dir().join(format!("se-obs-overhead-{}", std::process::id()));
     println!(

@@ -77,10 +77,7 @@ fn fresh_store(n: usize) -> Store {
 
 fn main() {
     let n_accounts = 1000;
-    let n_txns = std::env::var("SE_ARIA_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000usize);
+    let n_txns = se_bench::count("SE_ARIA_TXNS", 20_000);
     let batch_size = 64;
     let thetas = [0.6, 0.9, 0.99, 1.2];
     // Standalone Aria runs publish their schedule totals as `aria.*`

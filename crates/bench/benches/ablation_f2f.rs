@@ -22,10 +22,7 @@ use se_lang::{EntityRef, Value};
 
 fn main() {
     let depths = [1usize, 2, 3, 4];
-    let calls_per_depth = std::env::var("SE_F2F_CALLS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150usize);
+    let calls_per_depth = se_bench::count("SE_F2F_CALLS", 150);
 
     println!("ablation_f2f: {calls_per_depth} sequential calls per depth\n");
     println!("| depth | system | mean ms | p99 ms |");

@@ -45,10 +45,7 @@ fn component_totals(rt: &StatefunRuntime) -> Vec<(u64, u64)> {
 
 fn main() {
     let sizes_kib = [50usize, 100, 150, 200];
-    let events_per_size = std::env::var("SE_OVERHEAD_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300usize);
+    let events_per_size = se_bench::count("SE_OVERHEAD_EVENTS", 300);
     let n_keys = 16;
 
     println!("overhead: {events_per_size} events per state size, sizes {sizes_kib:?} KiB\n");

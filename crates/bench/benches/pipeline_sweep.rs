@@ -16,19 +16,13 @@
 //!   dominate and `pipeline_depth` is the lever (solo batches commit at
 //!   their final hop); the exec pool barely moves these cells.
 //!
-//! Environment ladders (comma-separated lists):
+//! Comma-separated `SE_SWEEP_*` ladders select the grid: workers, exec-pool
+//! sizes, depths, backends, key-space sizes (the nightly ladder runs
+//! `1000,100000,1000000`) and workload-distribution cells; the README's knob
+//! table lists them with `SE_PIPELINE_REQUESTS` and `SE_SPIN_ITERS`, their
+//! values and defaults. Two knobs behave specially here:
 //!
-//! * `SE_SWEEP_WORKERS`      — worker counts            (default `5`)
-//! * `SE_SWEEP_EXEC_THREADS` — exec-pool sizes          (default `1,4`)
-//! * `SE_SWEEP_DEPTHS`       — pipeline depths          (default `1,2`)
-//! * `SE_SWEEP_BACKENDS`     — `interp` / `vm`          (default `interp`)
-//! * `SE_SWEEP_KEYS`         — key-space sizes          (default `SE_KEYS`,
-//!   itself defaulting to 1000; the nightly ladder runs `1000,100000,1000000`)
-//! * `SE_SWEEP_CELLS`        — workload-distribution cells
-//!   (default `C-uniform,A-zipfian,T-zipfian,A-uniform`)
-//! * `SE_PIPELINE_REQUESTS`  — requests per cell        (default 1200)
-//! * `SE_SPIN_ITERS`         — loop turns per C spin    (default 256)
-//! * `SE_SERVICE_SLEEP`      — service-time mode (default **1** here:
+//! * `SE_SERVICE_SLEEP` — service-time mode (default **1** here:
 //!   sleep-based service so simulated cores stay independent on a
 //!   core-starved host; `0` restores the spin burns the figure benches use)
 //! * `SE_SWEEP_FORCE_EXEC_THREADS` — **CI self-test lever**: forces the
@@ -42,52 +36,33 @@
 //! `se_bench::Row`) with labels like `C-uniform@w5x4d2-interp`:
 //! workers 5 × exec_threads 4, depth 2, interpreter backend.
 
-use se_bench::{emit, key_count, Row};
+use std::num::NonZeroUsize;
+use std::str::FromStr;
+
+use se_bench::{count, emit, key_count, ladder, Row};
 use se_core::{compile, EntityRuntime, ExecBackend, StateflowRuntime};
+use se_obs::{knob, knob_list, knob_opt, Flag, ObsMode};
 use se_workloads::{load_accounts, run_open_loop, Distribution, DriverConfig, WorkloadSpec};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// One workload-distribution cell, spelled `<A|B|T|M|C>-<uniform|zipfian>`.
+struct Cell(String, WorkloadSpec, Distribution);
 
-/// Parses a comma-separated usize ladder, falling back to `default`.
-fn env_ladder(name: &str, default: &[usize]) -> Vec<usize> {
-    let Ok(raw) = std::env::var(name) else {
-        return default.to_vec();
-    };
-    let parsed: Vec<usize> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.parse().ok())
-        .filter(|&v| v >= 1)
-        .collect();
-    if parsed.is_empty() {
-        eprintln!("warning: ignoring unparseable {name}={raw:?}");
-        return default.to_vec();
+impl FromStr for Cell {
+    type Err = &'static str;
+
+    fn from_str(name: &str) -> Result<Cell, Self::Err> {
+        use Distribution::{Uniform, Zipfian};
+        use WorkloadSpec as W;
+        let (wl, dist) = name.split_once('-').unwrap_or_default();
+        let spec = [W::A, W::B, W::T, W::M, W::C]
+            .into_iter()
+            .find(|s| s.name == wl);
+        let dist = [Uniform, Zipfian].into_iter().find(|d| d.label() == dist);
+        match (spec, dist) {
+            (Some(spec), Some(dist)) => Ok(Cell(name.to_string(), spec, dist)),
+            _ => Err("expected <A|B|T|M|C>-<uniform|zipfian>"),
+        }
     }
-    parsed
-}
-
-fn cell_of(name: &str) -> Option<(WorkloadSpec, Distribution)> {
-    let (wl, dist) = name.split_once('-')?;
-    let spec = match wl {
-        "A" => WorkloadSpec::A,
-        "B" => WorkloadSpec::B,
-        "T" => WorkloadSpec::T,
-        "M" => WorkloadSpec::M,
-        "C" => WorkloadSpec::C,
-        _ => return None,
-    };
-    let dist = match dist {
-        "uniform" => Distribution::Uniform,
-        "zipfian" => Distribution::Zipfian,
-        _ => return None,
-    };
-    Some((spec, dist))
 }
 
 fn main() {
@@ -97,50 +72,30 @@ fn main() {
     // timeslice and serialize on an oversubscribed host, hiding exactly the
     // exec-pool overlap this bench exists to measure). Explicit
     // SE_SERVICE_SLEEP=0 restores spinning.
-    if std::env::var("SE_SERVICE_SLEEP").is_err() {
+    if knob_opt::<Flag>("SE_SERVICE_SLEEP").is_none() {
         std::env::set_var("SE_SERVICE_SLEEP", "1");
     }
-    let requests = env_usize("SE_PIPELINE_REQUESTS", 1200);
-    let workers_ladder = env_ladder("SE_SWEEP_WORKERS", &[5]);
-    let exec_ladder = env_ladder("SE_SWEEP_EXEC_THREADS", &[1, 4]);
-    let depth_ladder = env_ladder("SE_SWEEP_DEPTHS", &[1, 2]);
-    let keys_ladder = env_ladder("SE_SWEEP_KEYS", &[key_count()]);
-    let spin_iters = env_usize("SE_SPIN_ITERS", 256) as i64;
-    let backends: Vec<ExecBackend> = std::env::var("SE_SWEEP_BACKENDS")
-        .unwrap_or_else(|_| "interp".to_string())
-        .split(',')
-        .filter_map(|s| match s.trim() {
-            "interp" => Some(ExecBackend::Interp),
-            "vm" => Some(ExecBackend::Vm),
-            "" => None,
-            other => {
-                eprintln!("warning: ignoring unknown backend {other:?}");
-                None
-            }
-        })
-        .collect();
-    let cells: Vec<(String, WorkloadSpec, Distribution)> = std::env::var("SE_SWEEP_CELLS")
-        .unwrap_or_else(|_| "C-uniform,A-zipfian,T-zipfian,A-uniform".to_string())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .filter_map(|name| {
-            let cell = cell_of(name);
-            if cell.is_none() {
-                eprintln!("warning: ignoring unknown cell {name:?}");
-            }
-            cell.map(|(spec, dist)| (name.to_string(), spec, dist))
-        })
-        .collect();
-    let forced_exec: Option<usize> = std::env::var("SE_SWEEP_FORCE_EXEC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok());
+    let requests = count("SE_PIPELINE_REQUESTS", 1200);
+    let workers_ladder = ladder("SE_SWEEP_WORKERS", &[5]);
+    let exec_ladder = ladder("SE_SWEEP_EXEC_THREADS", &[1, 4]);
+    let depth_ladder = ladder("SE_SWEEP_DEPTHS", &[1, 2]);
+    let keys_ladder = ladder("SE_SWEEP_KEYS", &[key_count()]);
+    let spin_iters = count("SE_SPIN_ITERS", 256) as i64;
+    let backends = knob_list("SE_SWEEP_BACKENDS", vec![ExecBackend::Interp]);
+    let default_cells = ["C-uniform", "A-zipfian", "T-zipfian", "A-uniform"].map(Cell::from_str);
+    let cells = knob_list("SE_SWEEP_CELLS", default_cells.map(Result::unwrap).into());
+    let forced_exec =
+        knob_opt::<NonZeroUsize>("SE_SWEEP_FORCE_EXEC_THREADS").map(NonZeroUsize::get);
     if let Some(f) = forced_exec {
         eprintln!(
             "SEEDED REGRESSION: every cell actually runs exec_threads={f} \
              regardless of its label (perf-gate self-test mode)"
         );
     }
+    // The queue/utilization/fsync columns come from the se-obs registry, so
+    // this bench records metrics even without SE_OBS set (an explicit
+    // SE_OBS=off|trace still wins).
+    let obs_mode = knob("SE_OBS", ObsMode::Metrics);
     // Offered load far above capacity: the issue phase finishes fast and
     // completion throughput measures saturation.
     let offered = 50_000.0;
@@ -154,7 +109,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for (cell_name, spec, dist) in &cells {
+    for Cell(cell_name, spec, dist) in &cells {
         for &n_keys in &keys_ladder {
             for &workers in &workers_ladder {
                 for &exec_threads in &exec_ladder {
@@ -165,13 +120,7 @@ fn main() {
                             cfg.exec_threads = forced_exec.unwrap_or(exec_threads);
                             cfg.pipeline_depth = depth;
                             cfg.backend = backend;
-                            // The queue/utilization/fsync columns come from
-                            // the se-obs registry, so this bench records
-                            // metrics even without SE_OBS set (an explicit
-                            // SE_OBS=off|trace still wins).
-                            if std::env::var("SE_OBS").is_err() {
-                                cfg.obs.mode = se_obs::ObsMode::Metrics;
-                            }
+                            cfg.obs.mode = obs_mode;
                             let deployed_exec = cfg.exec_threads;
                             let program = se_workloads::ycsb_program();
                             let graph = compile(&program).expect("compile");
@@ -191,10 +140,7 @@ fn main() {
                             // Registry counters/hists cover the deployment's
                             // whole life, so the utilization window must too.
                             let obs_window = deployed_at.elapsed();
-                            let backend_name = match backend {
-                                ExecBackend::Interp => "interp",
-                                ExecBackend::Vm => "vm",
-                            };
+                            let backend_name = backend.to_string();
                             let mut label = format!(
                                 "{cell_name}@w{workers}x{exec_threads}d{depth}-{backend_name}"
                             );
@@ -242,7 +188,7 @@ fn main() {
     if exec_ladder.len() > 1 {
         let (lo, hi) = (exec_ladder[0], *exec_ladder.last().unwrap());
         let mut speedups = Vec::new();
-        for (cell_name, ..) in &cells {
+        for Cell(cell_name, ..) in &cells {
             for &workers in &workers_ladder {
                 for &depth in &depth_ladder {
                     let base = tput(
@@ -312,14 +258,15 @@ fn main() {
         let exec_threads = exec_ladder[0];
         let depth = depth_ladder[0];
         let n_keys = keys_ladder[0];
-        let spin_iters = env_usize("SE_VM_OPT_SPIN_ITERS", spin_iters as usize * 16) as i64;
-        let prev_opt = std::env::var("SE_VM_OPT").ok();
-        for (cell_name, spec, dist) in &cells {
+        let spin_iters = count("SE_VM_OPT_SPIN_ITERS", spin_iters as usize * 16) as i64;
+        for Cell(cell_name, spec, dist) in &cells {
             if spec.name != "C" {
                 continue;
             }
             let mut measured = Vec::new();
             for opt in ["off", "on"] {
+                // `VmProgram::compile` reads SE_VM_OPT at each deploy; this
+                // is the last section, so the flip is never undone.
                 std::env::set_var("SE_VM_OPT", if opt == "on" { "all" } else { "off" });
                 let mut cfg = se_bench::stateflow_bench_config();
                 cfg.workers = workers;
@@ -393,10 +340,6 @@ fn main() {
                     .with_param("requests", requests),
                 );
             }
-        }
-        match prev_opt {
-            Some(v) => std::env::set_var("SE_VM_OPT", v),
-            None => std::env::remove_var("SE_VM_OPT"),
         }
     }
 

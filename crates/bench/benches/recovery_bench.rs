@@ -19,12 +19,10 @@
 //! logging + epoch cut + any base write) — the paper-facing claim is that
 //! incremental mode makes this O(dirty), independent of total state size.
 //!
-//! Env knobs:
-//!   SE_RECOVERY_KEYS    comma ladder of state sizes  (default 1000,10000,100000)
-//!   SE_RECOVERY_EPOCHS  epochs of commits after load (default 16)
-//!   SE_RECOVERY_DIRTY   % of keys written per epoch  (default 5, min 32 keys)
-//!   SE_RECOVERY_REPS    recovery timing repetitions  (default 3)
-//!   SE_RECOVERY_FSYNC   fsync policy during populate (default on-epoch)
+//! Knobs (defaults in the README's knob table): `SE_RECOVERY_KEYS` (ladder
+//! of state sizes), `SE_RECOVERY_EPOCHS` (epochs of commits after load),
+//! `SE_RECOVERY_DIRTY` (% of keys written per epoch, min 32 keys),
+//! `SE_RECOVERY_REPS` (recovery timings), `SE_RECOVERY_FSYNC` (populate).
 //!
 //! Output: `bench_results/recovery_bench.json`, one row per (mode, keys)
 //! per metric, in the uniform bench row schema.
@@ -32,24 +30,10 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use se_bench::{emit, Row};
+use se_bench::{count, emit, ladder, Row};
 use se_core::ChaosPlan;
 use se_dataflow::{DurableOptions, DurableStore, FsyncPolicy, StateStore};
 use se_lang::{EntityRef, EntityState, Symbol, Value};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_ladder(name: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(name) {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => default.to_vec(),
-    }
-}
 
 fn acct(i: usize) -> EntityRef {
     EntityRef::new("Account", se_workloads::key_name(i))
@@ -243,15 +227,13 @@ fn rows_for(cell: &Cell, reps: usize, fsync: &str) -> Vec<Row> {
 }
 
 fn main() {
-    let ladder = env_ladder("SE_RECOVERY_KEYS", &[1_000, 10_000, 100_000]);
-    let epochs = env_usize("SE_RECOVERY_EPOCHS", 16);
-    let dirty_pct = env_usize("SE_RECOVERY_DIRTY", 5).max(1);
-    let reps = env_usize("SE_RECOVERY_REPS", 3).max(1);
-    let fsync = std::env::var("SE_RECOVERY_FSYNC").unwrap_or_else(|_| "on-epoch".into());
-    let policy = FsyncPolicy::parse(&fsync)
-        .unwrap_or_else(|| panic!("SE_RECOVERY_FSYNC={fsync:?} is not a valid fsync policy"));
+    let ladder = ladder("SE_RECOVERY_KEYS", &[1_000, 10_000, 100_000]);
+    let epochs = count("SE_RECOVERY_EPOCHS", 16);
+    let dirty_pct = count("SE_RECOVERY_DIRTY", 5);
+    let reps = count("SE_RECOVERY_REPS", 3);
+    let policy = se_obs::knob("SE_RECOVERY_FSYNC", FsyncPolicy::OnEpoch);
 
-    println!("recovery_bench: keys ladder {ladder:?}, {epochs} epochs, {dirty_pct}% dirty/epoch, {reps} reps, fsync {fsync}");
+    println!("recovery_bench: keys ladder {ladder:?}, {epochs} epochs, {dirty_pct}% dirty/epoch, {reps} reps, fsync {policy}");
     let mut rows = Vec::new();
     for &keys in &ladder {
         for (mode, every) in [("full", 1u64), ("incremental", 8u64)] {
@@ -264,7 +246,7 @@ fn main() {
                 cell.wal_bytes / 1024,
                 cell.bases
             );
-            rows.extend(rows_for(&cell, reps, &fsync));
+            rows.extend(rows_for(&cell, reps, &policy.to_string()));
         }
     }
     emit(

@@ -13,10 +13,9 @@
 //!   that client-observed wall time on both engines across an entity-count
 //!   ladder, with a light open-loop load running so the drain is realistic.
 //!
-//! Env knobs:
-//!   SE_REDEPLOY_ENTITIES  comma ladder of entity counts   (default 64,512,4096)
-//!   SE_REDEPLOY_REPS      switchovers timed per cell      (default 3)
-//!   SE_REDEPLOY_COMPILE_REPS  compile timings per mode    (default 20)
+//! Knobs (defaults in the README's knob table): `SE_REDEPLOY_ENTITIES`
+//! (ladder of entity counts), `SE_REDEPLOY_REPS` (switchovers timed per
+//! cell), `SE_REDEPLOY_COMPILE_REPS` (compile timings per mode).
 //!
 //! Output: `bench_results/redeploy_bench.json`, uniform bench row schema.
 
@@ -24,24 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use se_bench::{emit, Row};
+use se_bench::{count, emit, ladder, Row};
 use se_core::{StateflowConfig, StateflowRuntime, StatefunConfig, StatefunRuntime};
 use se_dataflow::EntityRuntime;
 use se_lang::{EntityRef, Value};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_ladder(name: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(name) {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => default.to_vec(),
-    }
-}
 
 fn acct(i: usize) -> EntityRef {
     EntityRef::new("Account", se_workloads::key_name(i))
@@ -204,9 +189,9 @@ fn switchover_cell(engine: &str, entities: usize, reps: usize) -> Row {
 }
 
 fn main() {
-    let ladder = env_ladder("SE_REDEPLOY_ENTITIES", &[64, 512, 4096]);
-    let reps = env_usize("SE_REDEPLOY_REPS", 3).max(1);
-    let compile_reps = env_usize("SE_REDEPLOY_COMPILE_REPS", 20).max(1);
+    let ladder = ladder("SE_REDEPLOY_ENTITIES", &[64, 512, 4096]);
+    let reps = count("SE_REDEPLOY_REPS", 3);
+    let compile_reps = count("SE_REDEPLOY_COMPILE_REPS", 20);
 
     println!(
         "redeploy_bench: entities ladder {ladder:?}, {reps} switchovers/cell, \

@@ -11,49 +11,55 @@
 //!   Smaller values speed wall-clock time but let OS scheduling noise
 //!   (which does not scale) distort the small simulated delays; keep ≥ 0.5
 //!   for publishable numbers.
-//! * `SE_REQUESTS` — requests per Figure-3 cell (default 1200).
-//! * `SE_FIG4_REQUESTS` — requests per Figure-4 point (default 2000).
+//! * `SE_REQUESTS` — requests per Figure-3 cell (default 600).
+//! * `SE_FIG4_REQUESTS` — requests per Figure-4 point (default 1500).
 //! * `SE_KEYS` — YCSB key-space size (default 1000).
+//!
+//! Counts are positive integers. Every knob goes through `se_obs::knob`:
+//! unset or empty means the default, a malformed value panics.
 
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use serde::Serialize;
 
 use se_core::{NetConfig, StateflowConfig, StatefunConfig};
+use se_obs::{knob, knob_list, knob_opt, ObsConfig};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A positive-count knob of a bench binary (`default` must be positive).
+pub fn count(name: &str, default: usize) -> usize {
+    knob(name, NonZeroUsize::new(default).expect("positive default")).get()
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A comma-separated ladder of positive counts (`default` must be
+/// positive).
+pub fn ladder(name: &str, default: &[usize]) -> Vec<usize> {
+    let default = default
+        .iter()
+        .map(|&n| NonZeroUsize::new(n).expect("positive default"));
+    let ladder = knob_list(name, default.collect());
+    ladder.into_iter().map(NonZeroUsize::get).collect()
 }
 
 /// The global time scale for benches.
 pub fn time_scale() -> f64 {
-    env_f64("SE_TIME_SCALE", 1.0)
+    knob("SE_TIME_SCALE", 1.0)
 }
 
 /// Requests per Figure-3 cell.
 pub fn fig3_requests() -> usize {
-    env_usize("SE_REQUESTS", 600)
+    count("SE_REQUESTS", 600)
 }
 
 /// Requests per Figure-4 point.
 pub fn fig4_requests() -> usize {
-    env_usize("SE_FIG4_REQUESTS", 1500)
+    count("SE_FIG4_REQUESTS", 1500)
 }
 
 /// YCSB key-space size ("1000 records" scale).
 pub fn key_count() -> usize {
-    env_usize("SE_KEYS", 1000)
+    count("SE_KEYS", 1000)
 }
 
 /// The calibrated simulated network for benchmark runs.
@@ -83,11 +89,8 @@ pub fn statefun_bench_config() -> StatefunConfig {
         net: bench_net(),
         service_time: Duration::from_micros(900),
         checkpoint: se_core::CheckpointMode::None,
-        snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
-        chaos: Default::default(),
-        history: None,
-        backend: se_core::ExecBackend::from_env_or(se_core::ExecBackend::Interp),
-        obs: se_obs::ObsConfig::from_env("statefun-bench"),
+        obs: ObsConfig::from_env("statefun-bench"),
+        ..StatefunConfig::default()
     }
 }
 
@@ -97,23 +100,13 @@ pub fn statefun_bench_config() -> StatefunConfig {
 pub fn stateflow_bench_config() -> StateflowConfig {
     StateflowConfig {
         workers: 5,
-        exec_threads: se_core::exec_threads_from_env_or(1),
         net: bench_net(),
         batch_interval: Duration::from_millis(10).mul_f64(time_scale()),
         max_batch: 512,
-        pipeline_depth: se_core::pipeline_depth_from_env_or(1),
-        commit_rule: se_aria::CommitRule::Reordering,
-        fallback: se_aria::FallbackPolicy::Serial,
         snapshot_every_batches: 0,
-        snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
         service_time: Duration::from_micros(300),
-        chaos: Default::default(),
-        history: None,
-        inject_reserve_bug: false,
-        inject_torn_upgrade: false,
-        backend: se_core::ExecBackend::from_env_or(se_core::ExecBackend::Interp),
-        durability: Default::default(),
-        obs: se_obs::ObsConfig::from_env("stateflow-bench"),
+        obs: ObsConfig::from_env("stateflow-bench"),
+        ..StateflowConfig::default()
     }
 }
 
@@ -228,11 +221,8 @@ impl Row {
 /// The workspace HEAD commit (short sha), or "unknown" outside a git
 /// checkout. `SE_COMMIT` overrides — CI stamps the exact sha it checked out.
 pub fn commit_sha() -> String {
-    if let Ok(sha) = std::env::var("SE_COMMIT") {
-        let sha = sha.trim().to_string();
-        if !sha.is_empty() {
-            return sha;
-        }
+    if let Some(sha) = knob_opt::<String>("SE_COMMIT") {
+        return sha;
     }
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])

@@ -20,15 +20,20 @@
 //! assert_eq!(ok, Value::Bool(true));
 //! ```
 //!
-//! Four environment knobs flip a whole run without touching code:
+//! Environment knobs flip a whole run without touching code. The engine
+//! configs' `Default` constructors ([`StateflowConfig`], [`StatefunConfig`])
+//! read them through `se_obs::knob`:
 //! `SE_EXEC_BACKEND` (`interp` | `vm`) selects the body-execution backend on
 //! every engine, `SE_PIPELINE_DEPTH` (positive integer, default 1) selects
-//! how many Aria batches the StateFlow coordinator keeps in flight
-//! ([`pipeline_depth_from_env_or`]), `SE_EXEC_THREADS` (positive integer,
-//! default 1) sizes each StateFlow worker's intra-partition execution pool
-//! ([`exec_threads_from_env_or`]), and `SE_DURABILITY` (`off` | `wal`,
+//! how many Aria batches the StateFlow coordinator keeps in flight,
+//! `SE_EXEC_THREADS` (positive integer, default 1) sizes each StateFlow
+//! worker's intra-partition execution pool, `SE_DURABILITY` (`off` | `wal`,
 //! default `off`) puts a per-partition write-ahead log and incremental
-//! snapshots under StateFlow state ([`durability_mode_from_env_or`]).
+//! snapshots under StateFlow state, and `SE_OBS`/`SE_OBS_DIR`/
+//! `SE_OBS_SNAPSHOT_MS` configure observability. Unset or empty means the
+//! default; any other value the knob does not accept panics at config
+//! construction, naming the variable. The README's knob table lists every
+//! `SE_*` variable in the workspace.
 
 #![warn(missing_docs)]
 
@@ -49,9 +54,7 @@ pub use se_dataflow::{
 pub use se_ir::{DataflowGraph, ExecBackend, StateMachine};
 pub use se_lang::{builder, programs, typecheck, EntityRef, Type, Value};
 pub use se_stateflow::{
-    default_workers, durability_mode_from_env_or, exec_threads_from_env_or,
-    pipeline_depth_from_env_or, DurabilityConfig, DurabilityMode, StateflowConfig,
-    StateflowRuntime,
+    default_workers, DurabilityConfig, DurabilityMode, StateflowConfig, StateflowRuntime,
 };
 pub use se_statefun::{CheckpointMode, StatefunConfig, StatefunRuntime};
 pub use se_vm::VmProgram;

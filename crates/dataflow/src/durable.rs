@@ -455,13 +455,13 @@ impl DurableStore {
                 WalRecord::EpochCut { .. } | WalRecord::BaseRef { .. } => {}
             }
         }
-        self.rebuild_at(reached, valid_end, target)?;
+        self.rebuild_at(reached, valid_end)?;
         Ok((store, if reached == 0 { None } else { Some(reached) }))
     }
 
     /// Truncates the log at `valid_end`, drops bases beyond `reached`, and
     /// reopens the writer on the surviving prefix.
-    fn rebuild_at(&mut self, reached: u64, valid_end: u64, _target: u64) -> io::Result<()> {
+    fn rebuild_at(&mut self, reached: u64, valid_end: u64) -> io::Result<()> {
         for &epoch in self.bases.iter().filter(|&&e| e > reached) {
             fs::remove_file(self.base_path(epoch)).ok();
         }

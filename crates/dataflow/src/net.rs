@@ -42,7 +42,9 @@ pub fn burn(d: Duration) {
 }
 
 /// Whether service time is simulated by sleeping instead of spinning
-/// (`SE_SERVICE_SLEEP=1`, read once).
+/// (`SE_SERVICE_SLEEP=0|1`, default 0; read once per process, and checked
+/// by [`NetConfig::default`] so a malformed value fails at config
+/// construction rather than on a worker's first burn).
 ///
 /// Spinning models CPU *occupancy*, sleeping models CPU *independence* —
 /// and on a host with fewer cores than simulated service threads the two
@@ -55,11 +57,7 @@ pub fn burn(d: Duration) {
 /// reason, while the latency-calibrated figure benches keep spinning.
 pub fn service_sleeps() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("SE_SERVICE_SLEEP")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
+    *MODE.get_or_init(|| se_obs::knob("SE_SERVICE_SLEEP", se_obs::Flag(false)).0)
 }
 
 /// Per-hop latency model of the simulated cluster.
@@ -83,6 +81,7 @@ impl Default for NetConfig {
     /// slightly less, and internal channels are an order of magnitude
     /// cheaper.
     fn default() -> Self {
+        service_sleeps();
         Self {
             broker_hop: Duration::from_micros(2_500),
             remote_fn_hop: Duration::from_micros(1_500),

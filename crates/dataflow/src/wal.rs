@@ -120,18 +120,21 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-impl FsyncPolicy {
-    /// Parses the `SE_FSYNC` / config-file spelling produced by `Display`.
-    pub fn parse(s: &str) -> Option<Self> {
+impl std::str::FromStr for FsyncPolicy {
+    type Err = &'static str;
+
+    /// Parses the spelling produced by `Display`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
-            "every-commit" => Some(FsyncPolicy::EveryCommit),
-            "on-epoch" => Some(FsyncPolicy::OnEpoch),
-            "never" => Some(FsyncPolicy::Never),
+            "every-commit" => Ok(FsyncPolicy::EveryCommit),
+            "on-epoch" => Ok(FsyncPolicy::OnEpoch),
+            "never" => Ok(FsyncPolicy::Never),
             other => other
                 .strip_prefix("every-")
                 .and_then(|n| n.parse::<u32>().ok())
                 .filter(|n| *n >= 1)
-                .map(FsyncPolicy::EveryN),
+                .map(FsyncPolicy::EveryN)
+                .ok_or("expected every-commit|on-epoch|never|every-N (N >= 1)"),
         }
     }
 }
@@ -909,10 +912,11 @@ mod tests {
             FsyncPolicy::EveryN(8),
             FsyncPolicy::Never,
         ] {
-            assert_eq!(FsyncPolicy::parse(&policy.to_string()), Some(policy));
+            assert_eq!(policy.to_string().parse(), Ok(policy));
         }
-        assert_eq!(FsyncPolicy::parse("bogus"), None);
-        assert_eq!(FsyncPolicy::parse("every-0"), None);
+        for junk in ["bogus", "every-0", "on_epoch"] {
+            assert!(junk.parse::<FsyncPolicy>().is_err(), "{junk}");
+        }
     }
 
     fn tempdir(tag: &str) -> PathBuf {

@@ -21,9 +21,9 @@ use crate::graph::CompiledProgram;
 /// Which engine-independent execution backend runs split method bodies.
 ///
 /// Both engines (`se-statefun`, `se-stateflow`) expose this as a config
-/// knob; the environment variable `SE_EXEC_BACKEND` (`interp` | `vm`)
-/// overrides the default so a whole test/bench run can be flipped without
-/// touching code.
+/// knob; their default constructors read the environment variable
+/// `SE_EXEC_BACKEND` (`interp` | `vm`) so a whole test/bench run can be
+/// flipped without touching code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecBackend {
     /// Tree-walk the block statements/terminators with the
@@ -35,26 +35,15 @@ pub enum ExecBackend {
     Vm,
 }
 
-impl ExecBackend {
-    /// Reads the `SE_EXEC_BACKEND` override (case-insensitive), falling
-    /// back to `default` when the variable is unset. An unrecognized value
-    /// also falls back, but warns on stderr once per process — a typo must
-    /// not silently void a "whole suite on the VM backend" run.
-    pub fn from_env_or(default: ExecBackend) -> ExecBackend {
-        match std::env::var("SE_EXEC_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("vm") => ExecBackend::Vm,
-            Ok(v) if v.eq_ignore_ascii_case("interp") => ExecBackend::Interp,
-            Ok(other) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_EXEC_BACKEND={other:?} \
-                         (expected \"interp\" or \"vm\")"
-                    );
-                });
-                default
-            }
-            Err(_) => default,
+impl std::str::FromStr for ExecBackend {
+    type Err = &'static str;
+
+    /// Parses `interp` / `vm`, case-insensitively.
+    fn from_str(s: &str) -> Result<ExecBackend, Self::Err> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "interp" => Ok(ExecBackend::Interp),
+            "vm" => Ok(ExecBackend::Vm),
+            _ => Err("expected interp|vm"),
         }
     }
 }

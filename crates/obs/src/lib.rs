@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod knob;
 pub mod registry;
 pub mod report;
 pub mod span;
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use hist::{HistSummary, Histogram};
+pub use knob::{knob, knob_list, knob_opt, Flag};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use span::{monotonic_ns, SpanEvent, Stage, Tracer, STAGES};
 
@@ -48,46 +50,29 @@ pub enum ObsMode {
     Trace,
 }
 
-impl ObsMode {
-    /// Parses `off` / `metrics` / `trace` (case-insensitive).
-    pub fn parse(s: &str) -> Option<ObsMode> {
+impl std::str::FromStr for ObsMode {
+    type Err = &'static str;
+
+    /// Parses `off` (also `0`, `none`) / `metrics` / `trace`,
+    /// case-insensitively.
+    fn from_str(s: &str) -> Result<ObsMode, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(ObsMode::Off),
-            "metrics" => Some(ObsMode::Metrics),
-            "trace" => Some(ObsMode::Trace),
-            _ => None,
+            "off" | "0" | "none" => Ok(ObsMode::Off),
+            "metrics" => Ok(ObsMode::Metrics),
+            "trace" => Ok(ObsMode::Trace),
+            _ => Err("expected off|metrics|trace"),
         }
     }
+}
 
-    /// Stable name, inverse of [`ObsMode::parse`].
+impl ObsMode {
+    /// Stable name, inverse of `ObsMode::from_str`.
     pub fn as_str(self) -> &'static str {
         match self {
             ObsMode::Off => "off",
             ObsMode::Metrics => "metrics",
             ObsMode::Trace => "trace",
         }
-    }
-}
-
-/// Reads `SE_OBS`, falling back to `default` (warning once on junk values,
-/// matching the workspace's other env knobs).
-pub fn obs_mode_from_env_or(default: ObsMode) -> ObsMode {
-    match std::env::var("SE_OBS") {
-        Ok(v) => match ObsMode::parse(&v) {
-            Some(mode) => mode,
-            None => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: SE_OBS={v:?} is not one of off|metrics|trace; \
-                         using {}",
-                        default.as_str()
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
     }
 }
 
@@ -123,28 +108,14 @@ impl ObsConfig {
     /// Defaults overridden by `SE_OBS` (mode), `SE_OBS_DIR` (dump dir), and
     /// `SE_OBS_SNAPSHOT_MS` (periodic snapshot interval).
     pub fn from_env(label: &str) -> ObsConfig {
-        let mut cfg = ObsConfig {
-            mode: obs_mode_from_env_or(ObsMode::Off),
+        let defaults = ObsConfig::default();
+        ObsConfig {
+            mode: knob("SE_OBS", defaults.mode),
+            dir: knob("SE_OBS_DIR", defaults.dir),
             label: label.to_string(),
-            ..ObsConfig::default()
-        };
-        if let Ok(dir) = std::env::var("SE_OBS_DIR") {
-            if !dir.trim().is_empty() {
-                cfg.dir = PathBuf::from(dir);
-            }
+            snapshot_every_ms: knob("SE_OBS_SNAPSHOT_MS", defaults.snapshot_every_ms),
+            ..defaults
         }
-        if let Ok(ms) = std::env::var("SE_OBS_SNAPSHOT_MS") {
-            if let Ok(ms) = ms.trim().parse::<u64>() {
-                cfg.snapshot_every_ms = ms;
-            }
-        }
-        cfg
-    }
-
-    /// Same config with a different mode (builder-style convenience).
-    pub fn with_mode(mut self, mode: ObsMode) -> ObsConfig {
-        self.mode = mode;
-        self
     }
 }
 
@@ -442,12 +413,9 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(ObsMode::parse("off"), Some(ObsMode::Off));
-        assert_eq!(ObsMode::parse(" Metrics "), Some(ObsMode::Metrics));
-        assert_eq!(ObsMode::parse("TRACE"), Some(ObsMode::Trace));
-        assert_eq!(ObsMode::parse("bogus"), None);
+        assert!("bogus".parse::<ObsMode>().is_err());
         for m in [ObsMode::Off, ObsMode::Metrics, ObsMode::Trace] {
-            assert_eq!(ObsMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.as_str().parse(), Ok(m));
         }
     }
 

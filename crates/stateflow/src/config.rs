@@ -1,5 +1,6 @@
 //! StateFlow runtime configuration.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -7,6 +8,7 @@ use se_aria::{CommitRule, FallbackPolicy};
 use se_chaos::{ChaosPlan, History};
 use se_dataflow::{FsyncPolicy, NetConfig};
 use se_ir::ExecBackend;
+use se_obs::{knob, ObsConfig};
 
 /// Whether worker state survives a crash on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +21,19 @@ pub enum DurabilityMode {
     /// is appended to a per-worker WAL, epoch cuts persist the dirty set,
     /// and recovery replays state from disk (see `se_dataflow::durable`).
     Wal,
+}
+
+impl std::str::FromStr for DurabilityMode {
+    type Err = &'static str;
+
+    /// Parses `off` / `wal`, case-insensitively.
+    fn from_str(s: &str) -> Result<DurabilityMode, Self::Err> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "off" => Ok(DurabilityMode::Off),
+            "wal" => Ok(DurabilityMode::Wal),
+            _ => Err("expected off|wal"),
+        }
+    }
 }
 
 /// Durable-layer configuration (see [`DurabilityMode`]).
@@ -47,22 +62,11 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            mode: durability_mode_from_env_or(DurabilityMode::Off),
+            mode: knob("SE_DURABILITY", DurabilityMode::Off),
             dir: None,
             fsync: FsyncPolicy::OnEpoch,
             full_snapshot_every: 4,
             inject_wal_no_crc: false,
-        }
-    }
-}
-
-impl DurabilityConfig {
-    /// WAL durability in a specific directory with the default knobs.
-    pub fn wal_in(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            mode: DurabilityMode::Wal,
-            dir: Some(dir.into()),
-            ..Self::default()
         }
     }
 }
@@ -160,18 +164,22 @@ pub struct StateflowConfig {
     /// identical histories, ≈ zero overhead), dump directory via
     /// `SE_OBS_DIR`, periodic snapshots via `SE_OBS_SNAPSHOT_MS`. See
     /// `se_obs::ObsConfig`.
-    pub obs: se_obs::ObsConfig,
+    pub obs: ObsConfig,
 }
 
 impl Default for StateflowConfig {
+    /// The paper deployment. The only constructor that reads the engine's
+    /// environment knobs: `SE_EXEC_THREADS`, `SE_PIPELINE_DEPTH` (positive
+    /// integers), `SE_EXEC_BACKEND`, and — through their own defaults —
+    /// `SE_DURABILITY` and `SE_OBS*`. A malformed value panics here.
     fn default() -> Self {
         Self {
             workers: default_workers(),
-            exec_threads: exec_threads_from_env_or(1),
+            exec_threads: knob("SE_EXEC_THREADS", NonZeroUsize::MIN).get(),
             net: NetConfig::default(),
             batch_interval: Duration::from_millis(10),
             max_batch: 512,
-            pipeline_depth: pipeline_depth_from_env_or(1),
+            pipeline_depth: knob("SE_PIPELINE_DEPTH", NonZeroUsize::MIN).get(),
             commit_rule: CommitRule::Reordering,
             fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 16,
@@ -181,9 +189,9 @@ impl Default for StateflowConfig {
             history: None,
             inject_reserve_bug: false,
             inject_torn_upgrade: false,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
+            backend: knob("SE_EXEC_BACKEND", ExecBackend::Interp),
             durability: DurabilityConfig::default(),
-            obs: se_obs::ObsConfig::from_env("stateflow"),
+            obs: ObsConfig::from_env("stateflow"),
         }
     }
 }
@@ -193,23 +201,13 @@ impl StateflowConfig {
     pub fn fast_test(workers: usize) -> Self {
         Self {
             workers,
-            exec_threads: exec_threads_from_env_or(1),
             net: NetConfig::fast_test(),
             batch_interval: Duration::from_millis(2),
             max_batch: 256,
-            pipeline_depth: pipeline_depth_from_env_or(1),
-            commit_rule: CommitRule::Reordering,
-            fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 4,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             service_time: Duration::from_micros(10),
-            chaos: ChaosPlan::none(),
-            history: None,
-            inject_reserve_bug: false,
-            inject_torn_upgrade: false,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
-            durability: DurabilityConfig::default(),
-            obs: se_obs::ObsConfig::from_env("stateflow-test"),
+            obs: ObsConfig::from_env("stateflow-test"),
+            ..Self::default()
         }
     }
 }
@@ -224,75 +222,6 @@ pub fn default_workers() -> usize {
         .map(|p| p.get())
         .unwrap_or(1);
     available.saturating_sub(1).max(5)
-}
-
-/// Reads the `SE_DURABILITY` override (`off` | `wal`), falling back to
-/// `default` when the variable is unset. An unrecognized value also falls
-/// back, but warns on stderr once per process — a typo must not silently
-/// void a "whole suite durable" run (mirrors `SE_EXEC_BACKEND`).
-pub fn durability_mode_from_env_or(default: DurabilityMode) -> DurabilityMode {
-    match std::env::var("SE_DURABILITY") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "off" => DurabilityMode::Off,
-            "wal" => DurabilityMode::Wal,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_DURABILITY={v:?} \
-                         (expected \"off\" or \"wal\")"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
-/// Reads the `SE_EXEC_THREADS` override (a positive integer), falling back
-/// to `default` when the variable is unset. An unrecognized value also falls
-/// back, but warns on stderr once per process (mirrors `SE_PIPELINE_DEPTH`).
-pub fn exec_threads_from_env_or(default: usize) -> usize {
-    match std::env::var("SE_EXEC_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(threads) if threads >= 1 => threads,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_EXEC_THREADS={v:?} \
-                         (expected a positive integer)"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
-/// Reads the `SE_PIPELINE_DEPTH` override (a positive integer), falling
-/// back to `default` when the variable is unset. An unrecognized value also
-/// falls back, but warns on stderr once per process — a typo must not
-/// silently void a "whole suite pipelined" run (mirrors `SE_EXEC_BACKEND`).
-pub fn pipeline_depth_from_env_or(default: usize) -> usize {
-    match std::env::var("SE_PIPELINE_DEPTH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(depth) if depth >= 1 => depth,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_PIPELINE_DEPTH={v:?} \
-                         (expected a positive integer)"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
 }
 
 #[cfg(test)]
@@ -315,6 +244,36 @@ mod tests {
         // The exec-pool knob may be raised via SE_EXEC_THREADS (CI runs the
         // suite at 4), but never below the serial schedule.
         assert!(c.exec_threads >= 1);
+    }
+
+    #[test]
+    fn engine_knob_spellings_parse_and_junk_is_rejected_by_name() {
+        use se_obs::knob::parse_knob;
+        use se_vm::VmOpts;
+        use DurabilityMode::{Off, Wal};
+        // Every spelling CI and the docs use keeps its value; blank is unset.
+        for (raw, want) in [("off", Some(Off)), ("wal", Some(Wal)), (" ", None)] {
+            assert_eq!(parse_knob("SE_DURABILITY", Some(raw)), Ok(want));
+        }
+        for (raw, want) in [("interp", ExecBackend::Interp), ("vm", ExecBackend::Vm)] {
+            assert_eq!(parse_knob("SE_EXEC_BACKEND", Some(raw)), Ok(Some(want)));
+        }
+        for (raw, want) in [("off", VmOpts::none()), ("all", VmOpts::all())] {
+            assert_eq!(parse_knob("SE_VM_OPT", Some(raw)), Ok(Some(want)));
+        }
+        let rejected = [
+            parse_knob::<DurabilityMode>("SE_DURABILITY", Some("wall")).map(drop),
+            parse_knob::<ExecBackend>("SE_EXEC_BACKEND", Some("jit")).map(drop),
+            parse_knob::<VmOpts>("SE_VM_OPT", Some("of")).map(drop),
+        ];
+        let want = [
+            "SE_DURABILITY=\"wall\" is not a valid DurabilityMode: expected off|wal",
+            "SE_EXEC_BACKEND=\"jit\" is not a valid ExecBackend: expected interp|vm",
+            "SE_VM_OPT=\"of\" is not a valid VmOpts: expected off|all (or none|0|false, on|1|true)",
+        ];
+        for (got, want) in rejected.into_iter().zip(want) {
+            assert_eq!(got.unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -528,37 +528,14 @@ impl Coordinator {
     /// Starts the front pending upgrade once the pipeline has fully
     /// drained: cuts the pre-upgrade epoch (a normal snapshot round whose
     /// completion dispatches the migration pass instead of resuming
-    /// sealing). Mirrors [`Coordinator::maybe_snapshot`]'s drain
-    /// conditions — (state, source offset) is a consistent cut here too.
+    /// sealing).
     fn maybe_begin_upgrade(&mut self) {
-        let can_start = matches!(self.mode, Mode::Running)
-            && self.in_flight.is_empty()
-            && self.queue.is_empty()
-            && self.fallback_queue.is_empty()
-            && self.pending_acks.is_empty();
-        let Some(p) = self.pending_upgrades.front_mut() else {
-            return;
-        };
-        if p.started || !can_start {
-            return;
+        let drained = self.drained();
+        match self.pending_upgrades.front_mut() {
+            Some(p) if !p.started && drained => p.started = true,
+            _ => return,
         }
-        p.started = true;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.snapshots.begin_epoch(epoch, self.workers.len());
-        self.snapshots
-            .put_source_offset(epoch, "requests", self.reader.offset());
-        let durable_floor = self.durable_floor;
-        self.broadcast(|| WorkerMsg::Snapshot {
-            gen: self.gen,
-            epoch,
-            durable_floor,
-        });
-        self.mode = Mode::Snapshotting {
-            epoch,
-            acks: 0,
-            upgrade: true,
-        };
+        self.begin_snapshot(true);
     }
 
     /// Dispatches the migration pass for the front pending upgrade (its
@@ -1184,22 +1161,32 @@ impl Coordinator {
         self.maybe_snapshot();
     }
 
-    /// Takes a consistent snapshot when due and the pipeline has drained:
-    /// no in-flight batch, no pending work, and every commit acknowledged —
-    /// every consumed request is then reflected in worker state, so
-    /// (state, source offset) is a consistent cut.
+    /// Takes a consistent snapshot when due and the pipeline has drained.
     fn maybe_snapshot(&mut self) {
         let snapshot_due = self.cfg.snapshot_every_batches > 0
             && self.batches_since_snapshot >= self.cfg.snapshot_every_batches;
-        if !snapshot_due
-            || !matches!(self.mode, Mode::Running)
-            || !self.in_flight.is_empty()
-            || !self.queue.is_empty()
-            || !self.fallback_queue.is_empty()
-            || !self.pending_acks.is_empty()
-        {
-            return;
+        if snapshot_due && self.drained() {
+            self.begin_snapshot(false);
         }
+    }
+
+    /// Whether the pipeline has fully drained: running, no in-flight batch,
+    /// no pending work, and every commit acknowledged — every consumed
+    /// request is then reflected in worker state, so (state, source offset)
+    /// is a consistent cut.
+    fn drained(&self) -> bool {
+        matches!(self.mode, Mode::Running)
+            && self.in_flight.is_empty()
+            && self.queue.is_empty()
+            && self.fallback_queue.is_empty()
+            && self.pending_acks.is_empty()
+    }
+
+    /// Cuts the next epoch at the current source offset and starts its
+    /// snapshot round; `upgrade` marks the pre-upgrade cut, whose
+    /// completion dispatches the migration pass instead of resuming
+    /// sealing.
+    fn begin_snapshot(&mut self, upgrade: bool) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.snapshots.begin_epoch(epoch, self.workers.len());
@@ -1214,7 +1201,7 @@ impl Coordinator {
         self.mode = Mode::Snapshotting {
             epoch,
             acks: 0,
-            upgrade: false,
+            upgrade,
         };
     }
 

@@ -28,10 +28,7 @@ pub mod query;
 pub mod runtime;
 pub mod worker;
 
-pub use config::{
-    default_workers, durability_mode_from_env_or, exec_threads_from_env_or,
-    pipeline_depth_from_env_or, DurabilityConfig, DurabilityMode, StateflowConfig,
-};
+pub use config::{default_workers, DurabilityConfig, DurabilityMode, StateflowConfig};
 pub use coordinator::CoordStats;
 pub use query::QueryResult;
 pub use runtime::StateflowRuntime;

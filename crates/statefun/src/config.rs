@@ -5,6 +5,7 @@ use std::time::Duration;
 use se_chaos::{ChaosPlan, History};
 use se_dataflow::NetConfig;
 use se_ir::ExecBackend;
+use se_obs::{knob, ObsConfig};
 
 /// How the runtime checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,10 +67,13 @@ pub struct StatefunConfig {
     pub backend: ExecBackend,
     /// Observability: `SE_OBS=off|metrics|trace` (default off), dump
     /// directory via `SE_OBS_DIR`. See `se_obs::ObsConfig`.
-    pub obs: se_obs::ObsConfig,
+    pub obs: ObsConfig,
 }
 
 impl Default for StatefunConfig {
+    /// The paper deployment. The only constructor that reads the engine's
+    /// environment knobs (`SE_EXEC_BACKEND`, `SE_OBS*`); a malformed value
+    /// panics here.
     fn default() -> Self {
         Self {
             partitions: 3,
@@ -80,8 +84,8 @@ impl Default for StatefunConfig {
             snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             chaos: ChaosPlan::none(),
             history: None,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
-            obs: se_obs::ObsConfig::from_env("statefun"),
+            backend: knob("SE_EXEC_BACKEND", ExecBackend::Interp),
+            obs: ObsConfig::from_env("statefun"),
         }
     }
 }
@@ -94,12 +98,8 @@ impl StatefunConfig {
             remote_workers: partitions,
             net: NetConfig::fast_test(),
             service_time: Duration::from_micros(10),
-            checkpoint: CheckpointMode::None,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
-            chaos: ChaosPlan::none(),
-            history: None,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
-            obs: se_obs::ObsConfig::from_env("statefun-test"),
+            obs: ObsConfig::from_env("statefun-test"),
+            ..Self::default()
         }
     }
 }

@@ -79,12 +79,24 @@ impl VmOpts {
         }
     }
 
-    /// Reads the `SE_VM_OPT` escape hatch: `off`/`0`/`false`/`none`
-    /// disables the whole pipeline, anything else (or unset) enables it.
+    /// Reads the `SE_VM_OPT` escape hatch (see the `FromStr` impl); unset
+    /// or empty enables the whole pipeline, a malformed value panics.
     pub fn from_env() -> VmOpts {
-        match std::env::var("SE_VM_OPT") {
-            Ok(v) if matches!(v.as_str(), "off" | "0" | "false" | "none") => VmOpts::none(),
-            _ => VmOpts::all(),
+        se_obs::knob("SE_VM_OPT", VmOpts::all())
+    }
+}
+
+impl std::str::FromStr for VmOpts {
+    type Err = &'static str;
+
+    /// Parses `off` (also `none`, `0`, `false`: every optimization off) or
+    /// `all` (also `on`, `1`, `true`: every optimization on),
+    /// case-insensitively.
+    fn from_str(s: &str) -> Result<VmOpts, Self::Err> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "off" | "none" | "0" | "false" => Ok(VmOpts::none()),
+            "all" | "on" | "1" | "true" => Ok(VmOpts::all()),
+            _ => Err("expected off|all (or none|0|false, on|1|true)"),
         }
     }
 }

@@ -38,6 +38,8 @@
 //! resume sealing batches while a live upgrade's migration pass is still in
 //! flight, proving the checker catches a non-atomic version switchover.
 
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -45,6 +47,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use se_chaos::{CrashFault, CrashPoint};
+use se_obs::{knob, Flag};
 use stateful_entities::prelude::*;
 use stateful_entities::{
     check_history, serial_order, ChaosPlan, DiskFault, DiskFaultKind, DurabilityMode, FaultScript,
@@ -64,13 +67,7 @@ const OPS: usize = 120;
 const INITIAL_BALANCE: i64 = 500;
 const VALUE_SIZE: usize = 16;
 const WAIT: Duration = Duration::from_secs(60);
-
-fn env_or(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
+const SCENARIOS: NonZeroUsize = NonZeroUsize::new(20).unwrap();
 
 /// One sampled scenario (everything needed to reproduce it).
 #[derive(Debug, Clone, Serialize)]
@@ -227,6 +224,29 @@ enum Bug {
     TornUpgrade,
 }
 
+impl Bug {
+    /// The `SE_CHAOS_INJECT_BUG` spelling (empty for no bug).
+    fn name(self) -> &'static str {
+        match self {
+            Bug::None => "",
+            Bug::ReserveErrored => "reserve-errored",
+            Bug::WalNoCrc => "wal-no-crc",
+            Bug::TornUpgrade => "torn-upgrade",
+        }
+    }
+}
+
+impl FromStr for Bug {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Bug, Self::Err> {
+        [Bug::ReserveErrored, Bug::WalNoCrc, Bug::TornUpgrade]
+            .into_iter()
+            .find(|bug| bug.name() == s)
+            .ok_or("expected reserve-errored|wal-no-crc|torn-upgrade")
+    }
+}
+
 /// Runs one scenario under `script`; `Ok` carries a short stats line.
 /// `obs_dir`, when set, arms full span tracing and dumps the run's
 /// `metrics.json` + `trace.jsonl` under it (used to re-run a failing
@@ -259,7 +279,7 @@ fn run_scenario(
     cfg.snapshot_every_batches = 4;
     if sc.durability == "wal" {
         cfg.durability.mode = DurabilityMode::Wal;
-        cfg.durability.fsync = FsyncPolicy::parse(&sc.fsync).expect("sampled fsync policy");
+        cfg.durability.fsync = sc.fsync.parse().expect("sampled fsync policy");
     }
     if bug == Bug::WalNoCrc {
         // Maximize the odds that the flipped record lands inside the
@@ -395,7 +415,7 @@ fn run_scenario(
 
     // Verify: history checker, then serial replay through the Local oracle.
     let events = history.events();
-    if std::env::var("SE_CHAOS_DUMP_HISTORY").is_ok() {
+    if knob("SE_CHAOS_DUMP_HISTORY", Flag(false)).0 {
         for e in events.iter().rev().take(40).rev() {
             eprintln!("HIST {e:?}");
         }
@@ -530,8 +550,8 @@ fn trace_failure(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut scenarios = env_or("SE_CHAOS_SCENARIOS", 20) as usize;
-    let mut seed = env_or("SE_CHAOS_SEED", 0xC1A0_5EED);
+    let mut scenarios = knob("SE_CHAOS_SCENARIOS", SCENARIOS).get();
+    let mut seed = knob("SE_CHAOS_SEED", 0xC1A0_5EED_u64);
     let mut expect_bug = false;
     let mut i = 1;
     while i < args.len() {
@@ -549,23 +569,8 @@ fn main() {
         }
         i += 1;
     }
-    let time_scale = std::env::var("SE_TIME_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let bug = match std::env::var("SE_CHAOS_INJECT_BUG").ok().as_deref() {
-        None | Some("") => Bug::None,
-        Some("reserve-errored") => Bug::ReserveErrored,
-        Some("wal-no-crc") => Bug::WalNoCrc,
-        Some("torn-upgrade") => Bug::TornUpgrade,
-        Some(other) => panic!("unknown SE_CHAOS_INJECT_BUG={other:?}"),
-    };
-    let bug_name = match bug {
-        Bug::None => "",
-        Bug::ReserveErrored => "reserve-errored",
-        Bug::WalNoCrc => "wal-no-crc",
-        Bug::TornUpgrade => "torn-upgrade",
-    };
+    let time_scale = knob("SE_TIME_SCALE", 1.0);
+    let bug = knob("SE_CHAOS_INJECT_BUG", Bug::None);
     println!(
         "chaos_explore: {scenarios} scenarios, master seed {seed:#x}, \
          time scale {time_scale}{}{}",
@@ -574,7 +579,7 @@ fn main() {
         } else {
             ", INJECTED BUG: "
         },
-        bug_name
+        bug.name()
     );
 
     let mut failures = 0usize;
@@ -677,7 +682,7 @@ fn main() {
                         if bug == Bug::None {
                             String::new()
                         } else {
-                            format!("SE_CHAOS_INJECT_BUG={bug_name} ")
+                            format!("SE_CHAOS_INJECT_BUG={} ", bug.name())
                         }
                     ),
                     obs_trace,
