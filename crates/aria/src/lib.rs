@@ -29,5 +29,5 @@ pub use batch::{
     ScheduleStats, Store, TxnCtx,
 };
 pub use pipeline::CommitWatermark;
-pub use reservation::{CommitRule, ReservationTable};
+pub use reservation::{CommitRule, ConflictFlags, ReservationTable};
 pub use types::{BatchId, Decision, TxnBuffer, TxnId};

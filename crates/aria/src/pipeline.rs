@@ -87,22 +87,6 @@ impl<C> CommitWatermark<C> {
         ready
     }
 
-    /// Advances past `batch` without a record — used by a worker that
-    /// decided the commit itself (single-transaction fallback batches are
-    /// locally decidable at the final hop).
-    ///
-    /// # Panics
-    /// Panics if `batch` is not the next expected batch: self-decided
-    /// commits are only legal while the batch is runnable.
-    pub fn advance_past(&mut self, batch: BatchId) {
-        assert!(
-            self.runnable(batch),
-            "advance_past({batch}) while expecting {}",
-            self.next
-        );
-        self.next = batch + 1;
-    }
-
     /// Resets to expect `next` (recovery: the coordinator tells restored
     /// workers where batch numbering resumes), dropping buffered records.
     pub fn reset(&mut self, next: BatchId) {
@@ -142,22 +126,6 @@ mod tests {
         w.offer(0, ());
         assert_eq!(w.offer(0, ()), vec![], "duplicate from a fenced past");
         assert_eq!(w.next_expected(), 1);
-    }
-
-    #[test]
-    fn self_decided_commit_advances() {
-        let mut w: CommitWatermark<()> = CommitWatermark::new();
-        w.advance_past(0);
-        assert!(w.runnable(1));
-        // A peer's record for the self-decided batch is a no-op.
-        assert_eq!(w.offer(0, ()), vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "advance_past")]
-    fn self_decided_commit_must_be_runnable() {
-        let mut w: CommitWatermark<()> = CommitWatermark::new();
-        w.advance_past(3);
     }
 
     /// The contract the shard-parallel exec pool relies on: while a batch

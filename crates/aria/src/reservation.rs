@@ -35,6 +35,38 @@ pub enum CommitRule {
     Reordering,
 }
 
+/// Per-transaction conflict flags against lower ids. One partition computes
+/// them for its own keys; a distributed coordinator ORs every partition's
+/// flags before asking [`ConflictFlags::aborts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ConflictFlags {
+    /// Write-after-write dependency on a lower id.
+    pub waw: bool,
+    /// Read-after-write dependency on a lower id.
+    pub raw: bool,
+    /// Write-after-read dependency on a lower id.
+    pub war: bool,
+}
+
+impl ConflictFlags {
+    /// ORs in another partition's flags.
+    pub fn merge(&mut self, other: ConflictFlags) {
+        self.waw |= other.waw;
+        self.raw |= other.raw;
+        self.war |= other.war;
+    }
+
+    /// Whether `rule` aborts a transaction with these flags — the one place
+    /// the commit rules are spelled out.
+    pub fn aborts(self, rule: CommitRule) -> bool {
+        self.waw
+            || match rule {
+                CommitRule::Basic => self.raw,
+                CommitRule::Reordering => self.raw && self.war,
+            }
+    }
+}
+
 /// Per-batch reservation table (one per key-owning partition, or a single
 /// global one on a single node).
 #[derive(Debug, Clone, Default)]
@@ -96,19 +128,21 @@ impl ReservationTable {
             .any(|k| self.read_res.get(k).is_some_and(|&t| t < txn))
     }
 
+    /// All three dependencies of `txn` against this table.
+    pub fn flags(&self, txn: TxnId, buffer: &TxnBuffer) -> ConflictFlags {
+        ConflictFlags {
+            waw: self.waw(txn, buffer),
+            raw: self.raw(txn, buffer),
+            war: self.war(txn, buffer),
+        }
+    }
+
     /// Applies the commit rule to one transaction.
     pub fn decide(&self, txn: TxnId, buffer: &TxnBuffer, rule: CommitRule) -> Decision {
-        if self.waw(txn, buffer) {
-            return Decision::Abort;
-        }
-        let commit = match rule {
-            CommitRule::Basic => !self.raw(txn, buffer),
-            CommitRule::Reordering => !self.raw(txn, buffer) || !self.war(txn, buffer),
-        };
-        if commit {
-            Decision::Commit
-        } else {
+        if self.flags(txn, buffer).aborts(rule) {
             Decision::Abort
+        } else {
+            Decision::Commit
         }
     }
 
@@ -230,6 +264,29 @@ mod tests {
         assert_eq!(
             t1.decide(3, &b3, CommitRule::Basic),
             t2.decide(3, &b3, CommitRule::Basic)
+        );
+    }
+
+    #[test]
+    fn flags_merge_is_or() {
+        let mut f = ConflictFlags::default();
+        f.merge(ConflictFlags {
+            waw: false,
+            raw: true,
+            war: false,
+        });
+        f.merge(ConflictFlags {
+            waw: true,
+            raw: false,
+            war: false,
+        });
+        assert_eq!(
+            f,
+            ConflictFlags {
+                waw: true,
+                raw: true,
+                war: false
+            }
         );
     }
 

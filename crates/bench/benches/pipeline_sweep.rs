@@ -13,8 +13,9 @@
 //!   conflicts and the intra-partition exec pool (`exec_threads`) is the
 //!   lever — throughput should scale with pool size until cores run out.
 //! * **Contended** (workloads A/T, Zipfian keys): serial-fallback retries
-//!   dominate and `pipeline_depth` is the lever (solo batches commit at
-//!   their final hop); the exec pool barely moves these cells.
+//!   dominate; their fallback batches commit at their final hop at every
+//!   depth, and `pipeline_depth` overlaps regular batches with that drain;
+//!   the exec pool barely moves these cells.
 //!
 //! Comma-separated `SE_SWEEP_*` ladders select the grid: workers, exec-pool
 //! sizes, depths, backends, key-space sizes (the nightly ladder runs
@@ -354,7 +355,7 @@ fn main() {
         if let (Some((d1, _)), Some((d2, _))) = (d1, d2) {
             if d2 <= d1 {
                 eprintln!(
-                    "WARN: expected depth 2 to beat stop-and-wait on {cell} \
+                    "WARN: expected depth 2 to beat depth 1 on {cell} \
                      ({d2:.0} vs {d1:.0} rps)"
                 );
             }

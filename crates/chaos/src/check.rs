@@ -19,7 +19,7 @@
 //!    strictly later batch with the same id, and no decided retry may
 //!    dangle at the end of a quiesced run.
 //! 4. **Batch sanity.** Batch ids seal in ascending order, transaction
-//!    lists are ascending, fallback/solo batches hold exactly one
+//!    lists are ascending, fallback batches hold exactly one
 //!    transaction and never retry.
 //!
 //! [`serial_order`] then derives the *equivalent serial order* of the

@@ -49,7 +49,7 @@ pub enum Seam {
     CoordToWorker,
     /// StateFlow worker → coordinator (`ExecDone`/`Flags`/`CommitAck`).
     WorkerToCoord,
-    /// StateFlow worker → worker (chain hops, solo commit records).
+    /// StateFlow worker → worker (chain hops, fallback commit records).
     WorkerToWorker,
     /// StateFun partition task → remote function runtime.
     RemoteRequest,

@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use se_chaos::{ChaosPlan, DiskFaultKind};
 use se_lang::{EntityRef, EntityState, Symbol, Value};
@@ -90,10 +90,6 @@ pub struct DurableStore {
     bases: Vec<u64>,
     /// Cuts since the last base snapshot (drives `full_snapshot_every`).
     cuts_since_base: u64,
-    /// Newest `VersionCut` applied by the last [`DurableStore::recover`]
-    /// call: the program version the recovered state was migrated to
-    /// (`None` = no upgrade committed in the replayed prefix).
-    recovered_version: Option<u64>,
     /// Observability handle (noop unless attached via
     /// [`DurableStore::set_obs`]): epoch-cut spans here, WAL append/fsync
     /// spans forwarded to the writer.
@@ -122,7 +118,6 @@ impl DurableStore {
             cuts: Vec::new(),
             bases: Vec::new(),
             cuts_since_base: 0,
-            recovered_version: None,
             obs: se_obs::Obs::noop(),
         };
         store.bases = store.list_bases()?;
@@ -243,14 +238,6 @@ impl DurableStore {
         self.append(&WalRecord::VersionCut { version })
     }
 
-    /// The newest program version the last [`DurableStore::recover`] call
-    /// replayed a `VersionCut` for, if any. Advisory: the coordinator's
-    /// epoch→version map is authoritative across compaction (which may drop
-    /// old cut records with the prefix they sit in).
-    pub fn recovered_version(&self) -> Option<u64> {
-        self.recovered_version
-    }
-
     /// Marks epoch `epoch`'s cut: appends the marker (fsynced per policy —
     /// the epoch is durable exactly when this record is) and writes a full
     /// base snapshot every `full_snapshot_every` cuts.
@@ -356,7 +343,6 @@ impl DurableStore {
     /// of the source; all durable state is reset.
     pub fn recover(&mut self, target: Option<u64>) -> io::Result<(StateStore, Option<u64>)> {
         self.writer = None;
-        self.recovered_version = None;
         let Some(target) = target else {
             self.reset_all()?;
             return Ok((StateStore::new(), None));
@@ -431,7 +417,6 @@ impl DurableStore {
             }
         }
         // Pass 2: apply exactly the records up to that cut.
-        self.recovered_version = None;
         for (end, record) in &scan.records {
             if *end <= start || *end > valid_end {
                 continue;
@@ -447,12 +432,11 @@ impl DurableStore {
                         }
                     }
                 }
-                WalRecord::VersionCut { version } => {
-                    // The migration's writes precede the marker, so reaching
-                    // it means the recovered state is already migrated.
-                    self.recovered_version = Some(*version);
-                }
-                WalRecord::EpochCut { .. } | WalRecord::BaseRef { .. } => {}
+                // The migration's writes precede its `VersionCut`, so
+                // reaching the marker means the state is already migrated.
+                WalRecord::VersionCut { .. }
+                | WalRecord::EpochCut { .. }
+                | WalRecord::BaseRef { .. } => {}
             }
         }
         self.rebuild_at(reached, valid_end)?;
@@ -598,16 +582,6 @@ impl DurableStore {
             DiskFaultKind::SlowFsync { .. } | DiskFaultKind::FailedFsync { .. } => {}
         }
         Ok(())
-    }
-
-    /// Whether the writer is open (the partition is live).
-    pub fn is_open(&self) -> bool {
-        self.writer.is_some()
-    }
-
-    /// The partition directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Bytes currently in the log (written, not necessarily synced).

@@ -96,15 +96,15 @@ pub struct StateflowConfig {
     pub batch_interval: Duration,
     /// Maximum transactions per batch.
     pub max_batch: usize,
-    /// Maximum batches in flight at the coordinator. `1` (the default) is
-    /// classic stop-and-wait: a batch fully commits before the next one is
-    /// sealed. At depth ≥ 2 the coordinator seals and dispatches batch
-    /// *N+1* as soon as batch *N* enters its reservation round (Aria's
-    /// cross-batch pipelining), workers order execution with a
-    /// committed-batch watermark, and single-transaction serial-fallback
-    /// batches commit at their final hop without a coordinator round trip —
-    /// the big lever for contended (hot-key) workloads. The
-    /// `SE_PIPELINE_DEPTH` env var overrides the default.
+    /// Maximum batches in flight at the coordinator. `1` (the default)
+    /// keeps one batch in flight: a regular batch is decided before the
+    /// next one is sealed. At depth ≥ 2 the coordinator seals and
+    /// dispatches batch *N+1* as soon as batch *N* enters its reservation
+    /// round (Aria's cross-batch pipelining). At every depth, workers
+    /// order execution with a committed-batch watermark, and
+    /// single-transaction serial-fallback batches commit at their final hop
+    /// without a coordinator round trip. The `SE_PIPELINE_DEPTH` env var
+    /// overrides the default.
     pub pipeline_depth: usize,
     /// Aria commit rule (the ablation knob).
     pub commit_rule: CommitRule,
@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(c.commit_rule, CommitRule::Reordering);
         assert!(c.snapshot_every_batches > 0);
         // The pipeline knob may be raised via SE_PIPELINE_DEPTH (CI runs
-        // the suite at depth 3), but never below stop-and-wait.
+        // the suite at depth 3), but never below one batch in flight.
         assert!(c.pipeline_depth >= 1);
         // The exec-pool knob may be raised via SE_EXEC_THREADS (CI runs the
         // suite at 4), but never below the serial schedule.

@@ -13,12 +13,12 @@
 //! with batch *i*'s commit round — instead of waiting for *N*'s commit
 //! broadcast. Ordering correctness lives at the workers (committed-batch
 //! watermarks); the coordinator only bounds the window and keeps commit
-//! decisions flowing in batch order. At depth ≥ 2 single-transaction
-//! serial-fallback batches become *solo* batches that commit at their final
-//! hop without a coordinator round trip, which is what lets hot-key retry
-//! storms drain at execution speed instead of one network round trip per
-//! transaction. `pipeline_depth = 1` (the default) reproduces the classic
-//! stop-and-wait schedule exactly.
+//! decisions flowing in batch order. At every depth, single-transaction
+//! serial-fallback batches commit at their final hop without a coordinator
+//! round trip, which is what lets hot-key retry storms drain at execution
+//! speed instead of one network round trip per transaction; the
+//! coordinator only records their outcome. `pipeline_depth = 1` (the
+//! default) keeps one batch in flight at a time.
 //!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
 //! `ExecDone`/`Flags`/`CommitAck` in) may be duplicated, delayed or
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use se_aria::{BatchId, CommitRule, TxnId};
+use se_aria::{BatchId, ConflictFlags, TxnId};
 use se_chaos::{BatchKindTag, HistoryEvent, Seam, TxnOutcome};
 use se_dataflow::{
     send_with_chaos, DelayReceiver, DelaySender, Epoch, ResponseCompleter, SnapshotStore,
@@ -46,7 +46,7 @@ use se_ir::{partition_for, Invocation, InvocationKind, RequestId, Response, INIT
 use se_lang::Value;
 
 use crate::config::StateflowConfig;
-use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
+use crate::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
 
 /// Shared counters exposed to tests and benchmarks — registry-backed
 /// `se-obs` handles published under `coord.*`, so the engine's decision
@@ -59,7 +59,7 @@ use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
 /// construction and therefore cannot drift from its parts.
 #[derive(Debug, Clone)]
 pub struct CoordStats {
-    /// Batches decided (committed or solo-finalized).
+    /// Batches decided (regular and fallback).
     pub batches: se_obs::Counter,
     /// Transactions committed successfully.
     pub commits: se_obs::Counter,
@@ -110,24 +110,17 @@ impl Default for CoordStats {
 enum BatchKind {
     /// A sealed multi-transaction batch: executes, reserves, decides.
     Regular,
-    /// A single-transaction serial-fallback batch (skips reservation — a
-    /// lone transaction cannot lose a conflict). With `solo` set (pipeline
-    /// depth ≥ 2) the final-hop worker decides and commits it locally and
-    /// the coordinator merely records the outcome; otherwise the
-    /// coordinator broadcasts the commit as for any batch (the depth-1
-    /// stop-and-wait path).
-    Fallback {
-        /// Commits at the final hop, no coordinator round trip.
-        solo: bool,
-    },
+    /// A single-transaction serial-fallback batch. It skips reservation (a
+    /// lone transaction cannot lose a conflict): the final-hop worker
+    /// decides and commits it, and the coordinator records the outcome.
+    Fallback,
 }
 
 impl BatchKind {
     fn tag(self) -> BatchKindTag {
         match self {
             BatchKind::Regular => BatchKindTag::Regular,
-            BatchKind::Fallback { solo: false } => BatchKindTag::Fallback,
-            BatchKind::Fallback { solo: true } => BatchKindTag::Solo,
+            BatchKind::Fallback => BatchKindTag::Fallback,
         }
     }
 }
@@ -163,13 +156,12 @@ struct InFlightBatch {
 }
 
 impl InFlightBatch {
-    /// Whether this batch blocks sealing the next one: regular (and
-    /// coordinator-committed fallback) batches must enter their reservation
-    /// round first; solo batches never block — they are decided at their
-    /// final hop, and overlapping them is the whole point.
+    /// Whether this batch blocks sealing the next one: regular batches must
+    /// enter their reservation round first; fallback batches never block —
+    /// they are decided at their final hop, and overlapping them is the
+    /// whole point.
     fn blocks_sealing(&self) -> bool {
-        matches!(self.stage, BatchStage::Executing)
-            && self.kind != (BatchKind::Fallback { solo: true })
+        matches!(self.stage, BatchStage::Executing) && self.kind == BatchKind::Regular
     }
 }
 
@@ -265,10 +257,10 @@ pub struct Coordinator {
     /// as sets (not a counter) so duplicated acks cannot unlock a snapshot
     /// early; they only gate snapshots.
     pending_acks: BTreeMap<BatchId, BTreeSet<usize>>,
-    /// Commit acks that arrived before their batch was finalized: a solo
-    /// batch's deciding worker acks right after its `ExecDone`, and a
-    /// chaos-delayed `ExecDone` can lose the race. Held only for batches
-    /// still in flight, drained when the batch finalizes.
+    /// Commit acks that arrived before their batch was finalized: a
+    /// fallback batch's deciding worker acks right after its `ExecDone`,
+    /// and a chaos-delayed `ExecDone` can lose the race. Held only for
+    /// batches still in flight, drained when the batch finalizes.
     early_acks: BTreeMap<BatchId, BTreeSet<usize>>,
     /// Per-worker newest durable-on-disk epoch, from snapshot acks. Only
     /// populated with durability on.
@@ -590,7 +582,7 @@ impl Coordinator {
     /// Seals as many batches as the pipeline window allows. A new batch may
     /// start once every in-flight regular batch has entered its reservation
     /// round and fewer than `pipeline_depth` batches are in flight — at
-    /// depth 1 that degenerates to the stop-and-wait "seal only when idle".
+    /// depth 1 that degenerates to "seal only when no batch is in flight".
     fn maybe_seal_batches(&mut self) {
         if !matches!(self.mode, Mode::Running) {
             return;
@@ -607,9 +599,7 @@ impl Coordinator {
     fn seal_next_batch(&mut self) -> bool {
         let (txns, kind): (Vec<TxnId>, BatchKind) =
             if let Some(txn) = self.fallback_queue.pop_front() {
-                // At depth ≥ 2 the fallback batch commits at its final hop.
-                let solo = self.pipeline_depth() >= 2;
-                (vec![txn], BatchKind::Fallback { solo })
+                (vec![txn], BatchKind::Fallback)
             } else {
                 if self.queue.is_empty() {
                     return false;
@@ -637,7 +627,7 @@ impl Coordinator {
             let version = self.active_version;
             self.record(|| HistoryEvent::BatchVersion { batch, version });
         }
-        let solo = kind == (BatchKind::Fallback { solo: true });
+        let fallback = kind == BatchKind::Fallback;
         for txn in &txns {
             // Roots are stamped with the active version at *seal* time:
             // continuations inherit it hop by hop, so an in-flight chain
@@ -656,7 +646,7 @@ impl Coordinator {
                     txn: *txn,
                     hop: 0,
                     inv,
-                    solo,
+                    fallback,
                 },
                 self.cfg.net.f2f_latency(bytes),
             );
@@ -670,7 +660,7 @@ impl Coordinator {
             // batches skip the accumulation queue; their seal is a point.
             let opened = match kind {
                 BatchKind::Regular => self.queue_since_ns.take().unwrap_or(sealed_ns),
-                BatchKind::Fallback { .. } => sealed_ns,
+                BatchKind::Fallback => sealed_ns,
             };
             self.obs
                 .stage_span(se_obs::Stage::BatchSeal, batch, opened, sealed_ns);
@@ -790,8 +780,9 @@ impl Coordinator {
                         }
                     }
                 } else if self.in_flight.contains_key(&batch) {
-                    // Raced ahead of the batch's ExecDone (solo batches
-                    // ack immediately): credit it when the batch finalizes.
+                    // Raced ahead of the batch's ExecDone (fallback batches
+                    // ack right after it): credit it when the batch
+                    // finalizes.
                     self.early_acks.entry(batch).or_default().insert(worker);
                 }
                 self.maybe_snapshot();
@@ -900,15 +891,10 @@ impl Coordinator {
             );
         }
         match batch.kind {
-            BatchKind::Fallback { solo: true } => {
-                // The final-hop worker already decided and committed; this
-                // is the commit record.
-                self.finalize_solo(batch_id);
-            }
-            BatchKind::Fallback { solo: false } => {
-                // A single-transaction batch cannot conflict: commit
-                // directly, skipping the reservation round. Errored chains
-                // still abort.
+            BatchKind::Fallback => {
+                // The final-hop worker already decided (commit unless the
+                // chain errored) and sent the commit record; this `ExecDone`
+                // is the outcome to record.
                 let aborted = batch.errors.clone();
                 self.finish_batch(batch_id, aborted, Vec::new());
             }
@@ -965,13 +951,7 @@ impl Coordinator {
                 aborted.insert(*txn);
                 continue;
             }
-            let f = flags.get(txn).copied().unwrap_or_default();
-            let abort = f.waw
-                || match rule {
-                    CommitRule::Basic => f.raw,
-                    CommitRule::Reordering => f.raw && f.war,
-                };
-            if abort {
+            if flags.get(txn).copied().unwrap_or_default().aborts(rule) {
                 aborted.insert(*txn);
                 retry.push(*txn);
             }
@@ -979,10 +959,12 @@ impl Coordinator {
         self.finish_batch(batch_id, aborted, retry);
     }
 
-    /// Broadcasts the commit decision, answers clients, requeues aborted
-    /// transactions, and frees the pipeline slot without waiting for commit
-    /// acks (workers order commit application by batch id via their
-    /// watermarks; acks only gate snapshots).
+    /// Finalizes a decided batch: broadcasts the commit decision (regular
+    /// batches only — a fallback batch's final-hop worker already sent its
+    /// record), answers clients, requeues aborted transactions, and frees
+    /// the pipeline slot without waiting for commit acks (workers order
+    /// commit application by batch id via their watermarks; acks only gate
+    /// snapshots).
     fn finish_batch(&mut self, batch_id: BatchId, aborted: BTreeSet<TxnId>, retry: Vec<TxnId>) {
         let Some(batch) = self.in_flight.remove(&batch_id) else {
             return;
@@ -1003,16 +985,17 @@ impl Coordinator {
         } else {
             0
         };
-        let aborted = Arc::new(aborted);
-        let txns2 = Arc::clone(&txns);
-        let aborted2 = Arc::clone(&aborted);
-        let gen = self.gen;
-        self.broadcast_chaos(move || WorkerMsg::Commit {
-            gen,
-            batch: batch_id,
-            txns: Arc::clone(&txns2),
-            aborted: Arc::clone(&aborted2),
-        });
+        if kind == BatchKind::Regular {
+            let aborted = Arc::new(aborted);
+            let txns = Arc::clone(&txns);
+            let gen = self.gen;
+            self.broadcast_chaos(move || WorkerMsg::Commit {
+                gen,
+                batch: batch_id,
+                txns: Arc::clone(&txns),
+                aborted: Arc::clone(&aborted),
+            });
+        }
         self.arm_pending_acks(batch_id);
         self.track_commit_span(batch_id, decided_ns);
         let retry_set: BTreeSet<TxnId> = retry.iter().copied().collect();
@@ -1090,73 +1073,6 @@ impl Coordinator {
             self.batch_deadline = Some(Instant::now() + self.cfg.batch_interval);
         }
 
-        self.batches_since_snapshot += 1;
-        self.maybe_snapshot();
-    }
-
-    /// Records a solo batch's outcome: the final-hop worker already decided
-    /// it (commit unless errored), applied its writes and broadcast the
-    /// record to its peers — the `ExecDone` doubles as the commit record,
-    /// so the pipeline slot frees after one worker→coordinator hop.
-    fn finalize_solo(&mut self, batch_id: BatchId) {
-        let Some(batch) = self.in_flight.remove(&batch_id) else {
-            return;
-        };
-        let InFlightBatch {
-            txns,
-            mut responses,
-            errors,
-            kind,
-            ..
-        } = batch;
-        debug_assert_eq!(txns.len(), 1, "solo batches hold exactly one txn");
-        // One ack per worker arrives: the deciding worker's own, and one
-        // from each peer applying the broadcast record.
-        self.arm_pending_acks(batch_id);
-        // A solo batch's decision happened at its final-hop worker; on the
-        // coordinator's timeline it is a point at the commit record.
-        let decided_ns = if self.obs.enabled() {
-            let now = self.obs.now_ns();
-            self.obs
-                .stage_span(se_obs::Stage::BatchDecide, batch_id, now, now);
-            now
-        } else {
-            0
-        };
-        self.track_commit_span(batch_id, decided_ns);
-        let txn = txns[0];
-        let errored = errors.contains(&txn);
-        if errored {
-            self.stats.failed.inc();
-        } else {
-            self.stats.commits.inc();
-        }
-        self.stats.batches.inc();
-        self.roots.remove(&txn);
-        if let Some(resp) = responses.remove(&txn) {
-            self.record(|| {
-                let outcome = TxnOutcome {
-                    txn,
-                    request: resp.request.0,
-                    result: resp.result.clone().map_err(|e| e.to_string()),
-                };
-                let (committed, failed) = if errored {
-                    (Vec::new(), vec![outcome])
-                } else {
-                    (vec![outcome], Vec::new())
-                };
-                HistoryEvent::Decided {
-                    batch: batch_id,
-                    kind: kind.tag(),
-                    committed,
-                    failed,
-                    retried: Vec::new(),
-                }
-            });
-            if let Some(completer) = self.waiters.lock().remove(&resp.request) {
-                completer.complete(resp.result);
-            }
-        }
         self.batches_since_snapshot += 1;
         self.maybe_snapshot();
     }

@@ -15,9 +15,10 @@
 //! aborted transactions re-run at the head of the next batch with their
 //! original ids. At `pipeline_depth ≥ 2` (knob on [`StateflowConfig`], env
 //! override `SE_PIPELINE_DEPTH`) batches overlap Aria-style: batch *N+1* is
-//! sealed as soon as batch *N* enters its reservation round, workers order
-//! execution with committed-batch watermarks, and serial-fallback retries
-//! commit at their final hop without a coordinator round trip.
+//! sealed as soon as batch *N* enters its reservation round. At every depth
+//! workers order execution with committed-batch watermarks, and
+//! serial-fallback retries commit at their final hop without a coordinator
+//! round trip.
 
 #![warn(missing_docs)]
 

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use se_aria::{BatchId, TxnBuffer, TxnId};
+use se_aria::{BatchId, ConflictFlags, TxnBuffer, TxnId};
 use se_dataflow::Epoch;
 use se_ir::{Invocation, RequestId, Response};
 use se_lang::{LangError, Value};
@@ -43,27 +43,6 @@ pub enum ClientOp {
         /// The version to activate.
         version: u64,
     },
-}
-
-/// Per-transaction conflict flags computed by one partition; the coordinator
-/// ORs flags across partitions before applying the commit rule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConflictFlags {
-    /// Write-after-write dependency on a lower id.
-    pub waw: bool,
-    /// Read-after-write dependency on a lower id.
-    pub raw: bool,
-    /// Write-after-read dependency on a lower id.
-    pub war: bool,
-}
-
-impl ConflictFlags {
-    /// ORs in another partition's flags.
-    pub fn merge(&mut self, other: ConflictFlags) {
-        self.waw |= other.waw;
-        self.raw |= other.raw;
-        self.war |= other.war;
-    }
 }
 
 /// Coordinator → worker messages.
@@ -103,12 +82,11 @@ pub enum WorkerMsg {
         hop: u32,
         /// The event to process.
         inv: Invocation,
-        /// A single-transaction fallback batch that commits at the final
-        /// hop: the executing worker decides (commit unless errored),
-        /// applies its own writes, and broadcasts the commit record to its
-        /// peers — no coordinator round trip. Only used at
-        /// `pipeline_depth ≥ 2`; depth 1 keeps the stop-and-wait path.
-        solo: bool,
+        /// A single-transaction serial-fallback batch, which commits at its
+        /// final hop: the worker that finishes the chain decides (commit
+        /// unless errored) and sends the commit record to its peers before
+        /// applying it itself — no coordinator round trip.
+        fallback: bool,
     },
     /// Execute the reservation phase for a sealed batch.
     Reserve {
@@ -142,7 +120,7 @@ pub enum WorkerMsg {
     /// With `exec_threads ≥ 2` the protocol thread checks the segment out —
     /// hop dedup, then the transaction's buffer moves into the pool task —
     /// and this message checks it back in. All protocol state transitions
-    /// (buffer reinstall, expected-hop advance, remote-hop send, solo
+    /// (buffer reinstall, expected-hop advance, remote-hop send, fallback
     /// commit, `ExecDone`) happen on the protocol thread when this message
     /// is handled, which is what keeps reservation and commit handling
     /// single-writer while execution itself fans out.
@@ -161,8 +139,8 @@ pub enum WorkerMsg {
         buffer: TxnBuffer,
         /// How the segment ended.
         outcome: SegmentOutcome,
-        /// Solo-batch marker, threaded through unchanged.
-        solo: bool,
+        /// Fallback-batch marker, threaded through unchanged.
+        fallback: bool,
     },
     /// Contribute this partition's state to a consistent snapshot.
     Snapshot {
@@ -211,7 +189,7 @@ pub enum WorkerMsg {
 #[derive(Debug, Clone)]
 pub enum SegmentOutcome {
     /// The chain finished; the protocol thread reports `ExecDone` (and for
-    /// solo batches decides + commits first).
+    /// fallback batches also decides and commits).
     Respond(Response),
     /// The chain suspended at a cross-partition call: forward `inv` to
     /// `owner` at chain position `hop`.
@@ -316,32 +294,4 @@ pub enum CoordMsg {
         /// Crashed worker.
         worker: usize,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flags_merge_is_or() {
-        let mut f = ConflictFlags::default();
-        f.merge(ConflictFlags {
-            waw: false,
-            raw: true,
-            war: false,
-        });
-        f.merge(ConflictFlags {
-            waw: true,
-            raw: false,
-            war: false,
-        });
-        assert_eq!(
-            f,
-            ConflictFlags {
-                waw: true,
-                raw: true,
-                war: false
-            }
-        );
-    }
 }

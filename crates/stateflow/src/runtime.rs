@@ -62,13 +62,13 @@ pub struct StateflowRuntime {
 impl StateflowRuntime {
     /// Deploys a compiled dataflow graph on a fresh StateFlow cluster.
     ///
-    /// `cfg.pipeline_depth` selects the coordinator schedule: 1 is classic
-    /// stop-and-wait, ≥ 2 pipelines batches (see [`crate::coordinator`]).
+    /// `cfg.pipeline_depth` selects the coordinator schedule: 1 keeps one
+    /// batch in flight, ≥ 2 pipelines batches (see [`crate::coordinator`]).
     pub fn deploy(graph: DataflowGraph, mut cfg: StateflowConfig) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(
             cfg.pipeline_depth >= 1,
-            "pipeline_depth 0 would never seal a batch; 1 = stop-and-wait"
+            "pipeline_depth 0 would never seal a batch; 1 = one batch in flight"
         );
         // WAL durability needs a directory; deployments that did not pick
         // one get a unique temp dir owned (and removed) by this runtime.

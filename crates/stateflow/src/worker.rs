@@ -6,10 +6,13 @@
 //! advantage: "it allows for internal function-to-function communication and
 //! does not require the roundtrips to Kafka" (§4).
 //!
-//! With pipelining (`pipeline_depth ≥ 2`) batches overlap: the coordinator
-//! dispatches batch *N+1* while batch *N* is still deciding, so per-channel
-//! FIFO no longer guarantees that a batch's `Exec` messages arrive after the
-//! previous batch's `Commit`. Each worker therefore keeps a committed-batch
+//! Batches overlap: with pipelining (`pipeline_depth ≥ 2`) the coordinator
+//! dispatches batch *N+1* while batch *N* is still deciding, and at every
+//! depth a serial-fallback batch commits at its final hop, whose commit
+//! record reaches the peers worker-to-worker while the coordinator already
+//! dispatches the next batch. Per-channel FIFO therefore no longer
+//! guarantees that a batch's `Exec` messages arrive after the previous
+//! batch's `Commit`, and each worker keeps a committed-batch
 //! [`CommitWatermark`] and defers any `Exec` (root or chain hop) of batch
 //! *B* until the commit of batch *B−1* has been applied locally — every
 //! execution still reads exactly the snapshot Aria's serial batch order
@@ -30,7 +33,7 @@
 //! directly; with a pool, a pool task calls it and reports through a
 //! node-local [`WorkerMsg::SegmentDone`]. Either way the result lands in
 //! [`Worker::handle_segment_done`], the one place that checks the buffer
-//! back in and performs the sends, solo commits and crashes.
+//! back in and performs the sends, fallback commits and crashes.
 //!
 //! Chaos hardening: with a scripted [`se_chaos::ChaosPlan`] armed, any
 //! data-plane message may arrive duplicated, late or not at all (until a
@@ -47,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
+use se_aria::{BatchId, CommitWatermark, ConflictFlags, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
     send_with_chaos, DelayReceiver, DelaySender, DurableOptions, DurableStore, SharedStateStore,
@@ -61,7 +64,7 @@ use se_lang::{EntityRef, LangError, Symbol, Value};
 use se_obs::Stage;
 
 use crate::config::{DurabilityMode, StateflowConfig};
-use crate::msg::{ConflictFlags, CoordMsg, SegmentOutcome, WorkerMsg};
+use crate::msg::{CoordMsg, SegmentOutcome, WorkerMsg};
 
 /// A commit record as applied by a worker: the batch's transactions
 /// (ascending) and the subset whose effects must be discarded.
@@ -72,7 +75,7 @@ struct DeferredExec {
     txn: TxnId,
     hop: u32,
     inv: Invocation,
-    solo: bool,
+    fallback: bool,
 }
 
 /// A worker thread's state and message loop.
@@ -270,18 +273,18 @@ impl Worker {
                 txn,
                 hop,
                 inv,
-                solo,
+                fallback,
                 ..
-            } => self.handle_exec(batch, txn, hop, inv, solo),
+            } => self.handle_exec(batch, txn, hop, inv, fallback),
             WorkerMsg::SegmentDone {
                 batch,
                 txn,
                 next_hop,
                 buffer,
                 outcome,
-                solo,
+                fallback,
                 ..
-            } => self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo),
+            } => self.handle_segment_done(batch, txn, next_hop, buffer, outcome, fallback),
             WorkerMsg::Reserve {
                 batch,
                 txns,
@@ -398,7 +401,14 @@ impl Worker {
     /// now if the batch's predecessor has committed locally, else park it
     /// on the watermark. Deliveries for already-committed batches are
     /// stale (a duplicate that outlived its batch) and dropped.
-    fn handle_exec(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
+    fn handle_exec(
+        &mut self,
+        batch: BatchId,
+        txn: TxnId,
+        hop: u32,
+        inv: Invocation,
+        fallback: bool,
+    ) {
         if self.watermark.must_defer(batch) {
             self.deferred
                 .entry(batch)
@@ -407,7 +417,7 @@ impl Worker {
                     txn,
                     hop,
                     inv,
-                    solo,
+                    fallback,
                 });
             return;
         }
@@ -417,7 +427,7 @@ impl Worker {
             // into a buffer nobody will ever apply.
             return;
         }
-        self.run_or_spawn(batch, txn, hop, inv, solo);
+        self.run_or_spawn(batch, txn, hop, inv, fallback);
     }
 
     /// Runs a runnable exec: hop dedup, buffer check-out, then
@@ -430,7 +440,14 @@ impl Worker {
     /// that buffer until [`Worker::handle_segment_done`] checks it back in:
     /// reservation only starts after every `ExecDone` of the batch, and this
     /// transaction's `ExecDone` (or its next remote hop) is sent from there.
-    fn run_or_spawn(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
+    fn run_or_spawn(
+        &mut self,
+        batch: BatchId,
+        txn: TxnId,
+        hop: u32,
+        inv: Invocation,
+        fallback: bool,
+    ) {
         let expected = self
             .expected_hops
             .entry(batch)
@@ -449,7 +466,7 @@ impl Worker {
             .unwrap_or_default();
         let Some(pool) = &self.pool else {
             let (next_hop, buffer, outcome) = exec_segment(&self.ctx, txn, hop, inv, buffer);
-            self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo);
+            self.handle_segment_done(batch, txn, next_hop, buffer, outcome, fallback);
             return;
         };
         let ctx = Arc::clone(&self.ctx);
@@ -477,7 +494,7 @@ impl Worker {
                     next_hop,
                     buffer,
                     outcome,
-                    solo,
+                    fallback,
                 },
                 Duration::ZERO,
             );
@@ -486,8 +503,8 @@ impl Worker {
 
     /// A segment finished (inline, or reported by the pool): check the
     /// buffer back in, advance the hop position past any local
-    /// continuations, then report/solo-commit, forward the chain to its
-    /// next partition, or crash.
+    /// continuations, then report (and fallback-commit), forward the chain
+    /// to its next partition, or crash.
     fn handle_segment_done(
         &mut self,
         batch: BatchId,
@@ -495,7 +512,7 @@ impl Worker {
         next_hop: u32,
         buffer: TxnBuffer,
         outcome: SegmentOutcome,
-        solo: bool,
+        fallback: bool,
     ) {
         if matches!(outcome, SegmentOutcome::Crashed) {
             // The scripted crash fired mid-segment; the "process"
@@ -510,8 +527,8 @@ impl Worker {
             // committed batch would leak it forever).
             return;
         }
-        // Buffer check-in must precede finish_chain: a solo commit applies
-        // this buffer, and the reservation round scans it.
+        // Buffer check-in must precede finish_chain: a fallback commit
+        // applies this buffer, and the reservation round scans it.
         self.buffers.entry(batch).or_default().insert(txn, buffer);
         let expected = self
             .expected_hops
@@ -521,7 +538,7 @@ impl Worker {
             .or_insert(0);
         *expected = (*expected).max(next_hop);
         match outcome {
-            SegmentOutcome::Respond(response) => self.finish_chain(batch, txn, response, solo),
+            SegmentOutcome::Respond(response) => self.finish_chain(batch, txn, response, fallback),
             SegmentOutcome::Emit { owner, hop, inv } => {
                 let bytes = inv.approx_size();
                 send_with_chaos(
@@ -535,7 +552,7 @@ impl Worker {
                         txn,
                         hop,
                         inv,
-                        solo,
+                        fallback,
                     },
                     self.cfg.net.f2f_latency(bytes),
                 );
@@ -559,89 +576,62 @@ impl Worker {
                 continue;
             };
             if queue.is_empty() {
-                // Drop the entry before running: an inline solo commit
+                // Drop the entry before running: an inline fallback commit
                 // advances the watermark past this batch, after which the
                 // loop would never revisit (and clean) its key.
                 self.deferred.remove(&batch);
             }
-            self.run_or_spawn(batch, item.txn, item.hop, item.inv, item.solo);
-            // An inline solo commit may have advanced the watermark;
+            self.run_or_spawn(batch, item.txn, item.hop, item.inv, item.fallback);
+            // An inline fallback commit may have advanced the watermark;
             // re-resolve the runnable batch from scratch. A batch's queue
             // only holds work that arrived before the batch became
             // runnable, so an advance past it cannot strand items.
         }
     }
 
-    /// Chain finished (with a result or an error): report to the
-    /// coordinator, and for solo batches decide + commit right here.
-    fn finish_chain(&mut self, batch: BatchId, txn: TxnId, response: Response, solo: bool) {
-        if solo {
-            self.commit_solo(batch, txn, response.result.is_err());
-        }
+    /// Chain finished (with a result or an error): report `ExecDone` to the
+    /// coordinator. A fallback batch also commits here: it holds one
+    /// transaction, which cannot lose a conflict, so it commits unless the
+    /// chain errored. Its record goes to the peers (which hold any remote
+    /// hops' buffers) before the `ExecDone`, and this worker then applies
+    /// its own copy exactly as a peer does — so its `CommitAck` follows the
+    /// `ExecDone` on the same FIFO channel, and the watermark advance
+    /// releases deferred execs. No coordinator round trip, which is what
+    /// lets consecutive hot-key retries chain back-to-back on the owning
+    /// worker.
+    fn finish_chain(&mut self, batch: BatchId, txn: TxnId, response: Response, fallback: bool) {
+        let errored = response.result.is_err();
+        let record: Option<CommitRecord> = fallback.then(|| {
+            let txns = Arc::new(vec![txn]);
+            let aborted = Arc::new(BTreeSet::from_iter(errored.then_some(txn)));
+            for (peer, sender) in self.peers.iter().enumerate() {
+                if peer == self.id {
+                    continue;
+                }
+                send_with_chaos(
+                    &self.cfg.chaos,
+                    Seam::WorkerToWorker,
+                    &self.cfg.net,
+                    sender,
+                    WorkerMsg::Commit {
+                        gen: self.gen,
+                        batch,
+                        txns: Arc::clone(&txns),
+                        aborted: Arc::clone(&aborted),
+                    },
+                    self.cfg.net.f2f_latency(64),
+                );
+            }
+            (txns, aborted)
+        });
         self.send_coord(CoordMsg::ExecDone {
             gen: self.gen,
             batch,
             txn,
             response,
         });
-        if solo {
-            // The coordinator counts one CommitAck per worker and batch;
-            // peers ack through handle_commit, this worker acks its local
-            // application. Sent after ExecDone (same channel, FIFO) so the
-            // coordinator has registered the solo batch's completion first.
-            self.send_coord(CoordMsg::CommitAck {
-                gen: self.gen,
-                batch,
-                worker: self.id,
-            });
-            self.drain_deferred();
-        }
-    }
-
-    /// Commits a single-transaction fallback batch at its final hop. A lone
-    /// transaction can never lose a conflict, so the decision is locally
-    /// determined: commit unless the chain errored. The worker applies its
-    /// own buffered writes, advances its watermark, and broadcasts the
-    /// commit record to peers (who hold any remote hops' buffers) — the
-    /// coordinator round trip that stop-and-wait pays per fallback
-    /// transaction disappears, which is what lets consecutive hot-key
-    /// retries chain back-to-back on the owning worker.
-    fn commit_solo(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
-        debug_assert!(
-            self.watermark.runnable(batch),
-            "solo batch {batch} committing out of order"
-        );
-        let local = self.buffers.remove(&batch);
-        self.expected_hops.remove(&batch);
-        if !errored {
-            if let Some(buffer) = local.and_then(|mut b| b.remove(&txn)) {
-                self.apply_writes(batch, buffer);
-            }
-        }
-        self.watermark.advance_past(batch);
-        let txns = Arc::new(vec![txn]);
-        let aborted: Arc<BTreeSet<TxnId>> = Arc::new(if errored {
-            BTreeSet::from([txn])
-        } else {
-            BTreeSet::new()
-        });
-        for (peer, sender) in self.peers.iter().enumerate() {
-            if peer == self.id {
-                continue;
-            }
-            send_with_chaos(
-                &self.cfg.chaos,
-                Seam::WorkerToWorker,
-                &self.cfg.net,
-                sender,
-                WorkerMsg::Commit {
-                    gen: self.gen,
-                    batch,
-                    txns: Arc::clone(&txns),
-                    aborted: Arc::clone(&aborted),
-                },
-                self.cfg.net.f2f_latency(64),
-            );
+        if let Some((txns, aborted)) = record {
+            self.handle_commit(batch, txns, aborted);
         }
     }
 
@@ -697,17 +687,7 @@ impl Worker {
         let flags: Vec<(TxnId, ConflictFlags)> = txns
             .iter()
             .filter(|txn| !errors.contains(txn))
-            .filter_map(|txn| {
-                let buf = buffer_of(txn)?;
-                Some((
-                    *txn,
-                    ConflictFlags {
-                        waw: table.waw(*txn, buf),
-                        raw: table.raw(*txn, buf),
-                        war: table.war(*txn, buf),
-                    },
-                ))
-            })
+            .filter_map(|txn| Some((*txn, table.flags(*txn, buffer_of(txn)?))))
             .collect();
         self.send_coord(CoordMsg::Flags {
             gen: self.gen,
@@ -1026,7 +1006,8 @@ fn exec_segment(
         let target = inv.target;
         // O(1): entity state is copy-on-write, so "read the committed
         // snapshot" is a refcount bump under a briefly held read guard (a
-        // solo commit takes the write lock right after an inline segment).
+        // fallback commit takes the write lock right after an inline
+        // segment).
         let committed = ctx.store.read().get(&target).cloned();
         let Some(committed) = committed else {
             let response = Response {

@@ -258,44 +258,56 @@ fn errored_chain_does_not_abort_healthy_transactions() {
     rt.shutdown();
 }
 
-/// Hot-key contention at pipeline depth 4: aborted transactions drain
-/// through solo fallback batches (committed at their final hop, pipelined
-/// by the coordinator) and must still apply exactly once, in order.
+/// Hot-key contention at pipeline depths 1 and 4: aborted transactions
+/// drain through serial-fallback batches, each committed at its final hop
+/// (the owner of `hot`) with the record sent to the owner of `cold`, and
+/// must still apply exactly once, in order, at every depth.
 #[test]
 fn pipelined_hot_key_contention_commits_exactly_once() {
     let program = account_program();
-    let mut cfg = StateflowConfig::fast_test(4);
-    cfg.pipeline_depth = 4;
-    cfg.batch_interval = Duration::from_millis(5); // let batches fill up
-    let rt = Arc::new(deploy(&program, cfg));
-    rt.create(
-        "Account",
-        "hot",
-        vec![("balance".into(), Value::Int(1_000_000))],
-    )
-    .unwrap();
-    rt.create("Account", "cold", vec![("balance".into(), Value::Int(0))])
+    assert_ne!(
+        se_ir::partition_for("hot", 4),
+        se_ir::partition_for("cold", 4),
+        "the transfer must span two partitions"
+    );
+    for depth in [1, 4] {
+        let mut cfg = StateflowConfig::fast_test(4);
+        cfg.pipeline_depth = depth;
+        cfg.batch_interval = Duration::from_millis(5); // let batches fill up
+        let rt = Arc::new(deploy(&program, cfg));
+        rt.create(
+            "Account",
+            "hot",
+            vec![("balance".into(), Value::Int(1_000_000))],
+        )
         .unwrap();
-    let waiters: Vec<_> = (0..100)
-        .map(|_| {
-            rt.call_async(
-                EntityRef::new("Account", "hot"),
-                "transfer",
-                vec![Value::Ref(EntityRef::new("Account", "cold")), Value::Int(1)],
-            )
-        })
-        .collect();
-    for w in waiters {
-        assert_eq!(
-            w.wait_timeout(WAIT).expect("completes").expect("no error"),
-            Value::Bool(true)
+        rt.create("Account", "cold", vec![("balance".into(), Value::Int(0))])
+            .unwrap();
+        let waiters: Vec<_> = (0..100)
+            .map(|_| {
+                rt.call_async(
+                    EntityRef::new("Account", "hot"),
+                    "transfer",
+                    vec![Value::Ref(EntityRef::new("Account", "cold")), Value::Int(1)],
+                )
+            })
+            .collect();
+        for w in waiters {
+            assert_eq!(
+                w.wait_timeout(WAIT).expect("completes").expect("no error"),
+                Value::Bool(true),
+                "depth {depth}"
+            );
+        }
+        assert_eq!(get_balance(&rt, "hot"), 1_000_000 - 100, "depth {depth}");
+        assert_eq!(get_balance(&rt, "cold"), 100, "depth {depth}");
+        let aborts = rt.stats().aborts.get();
+        assert!(
+            aborts > 0,
+            "depth {depth}: hot-key batches must conflict (got {aborts})"
         );
+        rt.shutdown();
     }
-    assert_eq!(get_balance(&rt, "hot"), 1_000_000 - 100);
-    assert_eq!(get_balance(&rt, "cold"), 100);
-    let aborts = rt.stats().aborts.get();
-    assert!(aborts > 0, "hot-key batches must conflict (got {aborts})");
-    rt.shutdown();
 }
 
 #[test]

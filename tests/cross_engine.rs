@@ -257,7 +257,7 @@ fn snapshot_retention_bounds_epoch_memory() {
 
 /// Pipelined StateFlow must stay byte-equivalent to the serial Local
 /// oracle, for every exec-pool size × pipeline depth × execution backend: a mix of
-/// contended transfers (which exercise abort/solo-fallback/retry across
+/// contended transfers (which exercise abort/fallback/retry across
 /// overlapping batches) and deposits must land on identical final state.
 #[test]
 fn stateflow_pipelined_matches_local_oracle() {
